@@ -15,7 +15,13 @@ from .errors import (
 )
 from .galois import DEFAULT_SIZE_CAP, Field, is_prime, make_field
 from .polyring import Poly, inverse_linear_residue, is_root_free, modinv, xgcd
-from .affine_support import AffineMap, build_support, choose_multiplier, support_orbits
+from .affine_support import (
+    AffineMap,
+    build_support,
+    choose_multiplier,
+    support_orbits,
+    validate_orbit_params,
+)
 from .goppa import (
     DEFAULT_ENUMERATION_CAP,
     CodeSpec,

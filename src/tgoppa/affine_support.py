@@ -68,6 +68,31 @@ class AffineMap:
         return out
 
 
+def validate_orbit_params(q: int, m: int, u: int, b: int | None = None) -> None:
+    """Reject a (b, u) pair that names no affine map of order u over GF(q^m).
+
+    The one validation path for u and b, before any field work: u must be
+    1, q, or a divisor of q^m - 1, and u == q needs a nonzero translation
+    b, since x -> x + 0 is the identity.  b=None checks u alone.
+    """
+    order = q**m
+    if not isinstance(u, int) or u < 1:
+        raise ValueError(f"order u must be a positive integer, got {u}")
+    if u not in (1, q) and (order - 1) % u != 0:
+        raise NoSuchOrderError(
+            f"no affine map of order {u} over GF({q}^{m}): "
+            f"{u} is neither 1 nor q={q} and does not divide q^m - 1 = {order - 1}"
+        )
+    if b is None:
+        return
+    if not 0 <= b < order:
+        raise ValueError(f"b must lie in [0, {order}), got {b}")
+    if u == q and b == 0:
+        raise NoSuchOrderError(
+            f"u=q={q} needs a nonzero translation b; with b=0 the map is the identity"
+        )
+
+
 def choose_multiplier(field: Field, u: int) -> int:
     """Deterministic multiplier realizing an affine map of order u.
 
@@ -75,15 +100,9 @@ def choose_multiplier(field: Field, u: int) -> int:
     translation).  Otherwise u must divide q^m - 1 and the smallest
     encoding of multiplicative order u is returned.
     """
-    if not isinstance(u, int) or u < 1:
-        raise ValueError(f"order u must be a positive integer, got {u}")
+    validate_orbit_params(field.q, field.m, u)
     if u == 1 or u == field.q:
         return 1
-    if (field.order - 1) % u != 0:
-        raise NoSuchOrderError(
-            f"no affine map of order {u} over {field!r}: "
-            f"{u} is neither 1 nor {field.q} and does not divide {field.order - 1}"
-        )
     for cand in range(2, field.order):
         if field.pow(cand, u) == 1 and field.mult_order(cand) == u:
             return cand

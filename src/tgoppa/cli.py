@@ -10,6 +10,8 @@ Exit codes:
   2  usage error (flags rejected before any computation)
   3  a verification came back negative: the determinism invariant was
      violated, or the two dimension routes disagreed
+  4  internal consistency failure: two computations that must agree did
+     not, which signals an arithmetic bug
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import argparse
 import json
 import sys
 
-from .affine_support import support_orbits
-from .errors import NoSuchOrderError, NotPrimeError, SizeCapError
+from .affine_support import support_orbits, validate_orbit_params
+from .errors import InternalConsistencyError, NotPrimeError, SizeCapError
 from .galois import DEFAULT_SIZE_CAP, Field, make_field
 from .goppa import (
     DEFAULT_ENUMERATION_CAP,
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -85,17 +88,6 @@ def _parse_element(field: Field, value: int, name: str) -> int:
         ) from None
 
 
-def _validate_u(field: Field, u: int) -> int:
-    if u < 1:
-        raise _UsageError(f"--u must be >= 1, got {u}")
-    if u not in (1, field.q) and (field.order - 1) % u != 0:
-        raise _UsageError(
-            f"u={u} is neither 1 nor q={field.q} and does not divide "
-            f"q^m - 1 = {field.order - 1}"
-        )
-    return u
-
-
 def _resolve_orbits(args, field: Field, g: Poly) -> list[list[int]]:
     if args.support == "all":
         b, u = 0, 1
@@ -103,7 +95,11 @@ def _resolve_orbits(args, field: Field, g: Poly) -> list[list[int]]:
         if args.b is None or args.u is None:
             raise _UsageError("--support orbit requires --b and --u")
         b = _parse_element(field, args.b, "--b")
-        u = _validate_u(field, args.u)
+        u = args.u
+        try:
+            validate_orbit_params(field.q, field.m, u, b)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
     if args.orbits is not None and args.orbits < 1:
         raise _UsageError("--orbits must be >= 1")
     return support_orbits(field, b, u, g, max_orbits=args.orbits)
@@ -357,6 +353,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except _UsageError as exc:
         parser.error(str(exc))  # exits with code 2
+    except InternalConsistencyError as exc:
+        print(f"tgoppa: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"tgoppa: error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

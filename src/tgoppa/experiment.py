@@ -30,10 +30,9 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .affine_support import build_support, choose_multiplier
+from .affine_support import build_support, choose_multiplier, validate_orbit_params
 from .errors import (
     InternalConsistencyError,
-    NoSuchOrderError,
     NotPrimeError,
     RejectionCapError,
     TrialError,
@@ -64,16 +63,7 @@ class ParamSet:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.t < 1:
             raise ValueError(f"t must be >= 1, got {self.t}")
-        order = self.q**self.m
-        if not 0 <= self.b < order:
-            raise ValueError(f"b must lie in [0, {order}), got {self.b}")
-        if self.u < 1:
-            raise ValueError(f"u must be >= 1, got {self.u}")
-        if self.u not in (1, self.q) and (order - 1) % self.u != 0:
-            raise NoSuchOrderError(
-                f"u={self.u} is neither 1 nor q={self.q} and does not divide "
-                f"q^m - 1 = {order - 1}"
-            )
+        validate_orbit_params(self.q, self.m, self.u, self.b)
 
     def to_dict(self) -> dict:
         return {"q": self.q, "m": self.m, "t": self.t, "b": self.b, "u": self.u}
@@ -178,6 +168,8 @@ def run_trials(
             out.append(
                 run_trial(params, trial_seed(master_seed, i), allow_zero_eta=allow_zero_eta)
             )
+        except InternalConsistencyError:
+            raise  # an arithmetic bug, not a failed trial
         except Exception as exc:
             raise TrialError(i, f"trial {i} failed for {params}: {exc}") from exc
     return out
@@ -249,7 +241,10 @@ def sweep(
     *,
     allow_zero_eta: bool = False,
 ) -> SweepResult:
-    """Verify determinism across a grid; per-P failures are recorded, not fatal."""
+    """Verify determinism across a grid; per-P failures are recorded, not fatal.
+
+    An ``InternalConsistencyError`` is not a per-P failure: it stops the sweep.
+    """
     if not grid:
         raise ValueError("sweep grid must be nonempty")
     entries: list[SweepEntry] = []

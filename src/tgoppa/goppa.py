@@ -15,13 +15,16 @@ classical residue.  eta == 0 recovers the classical Goppa code.
 Dimension is computed over GF(q): the t x n matrix of residue
 coefficients over GF(q^m) is expanded digit-wise into an mt x n matrix
 over GF(q) (polynomial-basis coordinates) and eliminated exactly, so
-k = n - rank.  ``brute_force_dimension`` recomputes k by enumerating
-all q^n words against the defining congruence and is deliberately
-independent of the elimination path.
+k = n - rank.  For q = 2 the expanded rows are packed into bitmasks
+straight from the residue coefficients, without the digit tuples.
+``brute_force_dimension`` recomputes k by enumerating all q^n words
+against the defining congruence and is deliberately independent of the
+elimination path.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -31,7 +34,7 @@ from .errors import (
     InvalidSpecError,
 )
 from .galois import Field
-from .linalg import nullspace_modp, pack_gf2_row, rank_gf2, rank_modp
+from .linalg import nullspace_modp, rank_gf2, rank_modp
 from .polyring import Poly, modinv
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
@@ -99,7 +102,8 @@ class ParityMatrix:
 
     ext_rows[j][i] is the x^j coefficient of column i's residue;
     base_rows has m rows per ext row (digit l of ext row j lands in base
-    row j*m + l), so base_rows is mt x n over GF(q).
+    row j*m + l), so base_rows is mt x n over GF(q).  base_rows is
+    derived from ext_rows on first access and then cached.
     """
 
     q: int
@@ -107,7 +111,14 @@ class ParityMatrix:
     t: int
     n: int
     ext_rows: tuple[tuple[int, ...], ...]
-    base_rows: tuple[tuple[int, ...], ...]
+
+    @functools.cached_property
+    def base_rows(self) -> tuple[tuple[int, ...], ...]:
+        q = self.q
+        scales = [q**l for l in range(self.m)]
+        return tuple(
+            tuple(a // s % q for a in row) for row in self.ext_rows for s in scales
+        )
 
 
 def twist_residue(spec: CodeSpec, index: int) -> Poly:
@@ -124,24 +135,30 @@ def twist_residue(spec: CodeSpec, index: int) -> Poly:
 
 
 def parity_matrix(spec: CodeSpec) -> ParityMatrix:
-    F = spec.field
     res = spec.residues()
-    t, m, n = spec.t, F.m, spec.n
-    ext_rows = tuple(tuple(res[i][j] for i in range(n)) for j in range(t))
-    base_rows = []
-    for j in range(t):
-        digit_rows = [[0] * n for _ in range(m)]
-        for i in range(n):
-            for l, d in enumerate(F.expand(ext_rows[j][i])):
-                digit_rows[l][i] = d
-        base_rows.extend(tuple(row) for row in digit_rows)
-    return ParityMatrix(F.q, m, t, n, ext_rows, tuple(base_rows))
+    ext_rows = tuple(zip(*res))
+    return ParityMatrix(spec.field.q, spec.field.m, spec.t, spec.n, ext_rows)
+
+
+def _packed_gf2_rows(pm: ParityMatrix):
+    """base_rows of a q = 2 matrix as bitmasks (bit i = column i).
+
+    Each cell is formatted once as m bits, most significant first, with
+    the columns joined in reverse order, so bit l of every cell forms the
+    stride-m slice starting at m - 1 - l, read as one binary number.
+    """
+    m = pm.m
+    fmt = f"0{m}b"
+    for row in pm.ext_rows:
+        bits = "".join([format(a, fmt) for a in reversed(row)])
+        for l in range(m):
+            yield int(bits[m - 1 - l :: m] or "0", 2)
 
 
 def rank(pm: ParityMatrix) -> int:
     """Exact GF(q) rank of the expanded parity matrix."""
     if pm.q == 2:
-        return rank_gf2(pack_gf2_row(row) for row in pm.base_rows)
+        return rank_gf2(_packed_gf2_rows(pm))
     return rank_modp([list(row) for row in pm.base_rows], pm.q)
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 
 def pack_gf2_row(row) -> int:
-    return sum(bit << j for j, bit in enumerate(row))
+    """Bitmask of a 0/1 row (bit j = column j), in time linear in its length."""
+    return int("".join(map(str, row))[::-1] or "0", 2)
 
 
 def rank_gf2(rows) -> int:

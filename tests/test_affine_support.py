@@ -11,6 +11,7 @@ from tgoppa import (
     choose_multiplier,
     make_field,
     support_orbits,
+    validate_orbit_params,
 )
 
 F4 = make_field(2, 2)
@@ -114,6 +115,24 @@ def test_choose_multiplier():
         choose_multiplier(F4, 5)
     with pytest.raises(ValueError):
         choose_multiplier(F4, 0)
+
+
+def test_validate_orbit_params():
+    validate_orbit_params(2, 2, 1, 0)
+    validate_orbit_params(2, 2, 2, 1)
+    validate_orbit_params(2, 4, 5, 0)
+    validate_orbit_params(3, 5, 3)  # b unknown: u alone is valid
+    with pytest.raises(NoSuchOrderError, match="identity"):
+        validate_orbit_params(3, 5, 3, 0)  # u = q needs b != 0
+    with pytest.raises(NoSuchOrderError):
+        validate_orbit_params(2, 2, 5, 1)
+    with pytest.raises(ValueError, match="positive"):
+        validate_orbit_params(2, 2, 0, 1)
+    with pytest.raises(ValueError, match="b must lie"):
+        validate_orbit_params(2, 2, 2, 4)
+    # choose_multiplier runs the same u check and gives the same message
+    with pytest.raises(NoSuchOrderError, match="does not divide q\\^m - 1 = 3"):
+        choose_multiplier(F4, 5)
 
 
 def test_choose_multiplier_smallest_scan_oracle():

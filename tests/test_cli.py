@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tgoppa import InternalConsistencyError, experiment
 from tgoppa.cli import main
 
 DIM_ARGS = ["dim", "--q", "2", "--m", "2", "--t", "2", "--g", "2,1,1",
@@ -56,6 +57,18 @@ def test_usage_error_bad_u(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["support", "--q", "2", "--m", "2", "--g", "2,1,1",
               "--support", "orbit", "--b", "0", "--u", "5"])
+    assert exc.value.code == 2
+
+
+def test_usage_error_u_equals_q_with_zero_translation(capsys):
+    # x -> x + 0 is the identity, so no orbit has size q
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--q", "2", "--m", "2", "--g", "2,1,1", "--eta", "1",
+              "--support", "orbit", "--b", "0", "--u", "2"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["determinism", "--q", "3", "--m", "5", "--t", "3", "--b", "0",
+              "--u", "3", "--trials", "2", "--seed", "1"])
     assert exc.value.code == 2
 
 
@@ -162,6 +175,20 @@ def test_determinism_usage_error_on_bad_u(capsys):
         main(["determinism", "--q", "2", "--m", "2", "--t", "2", "--b", "1",
               "--u", "5", "--trials", "2", "--seed", "1"])
     assert exc.value.code == 2
+
+
+def test_internal_consistency_error_exits_4(capsys, monkeypatch, tmp_path):
+    def dimension(spec):
+        raise InternalConsistencyError("injected")
+
+    monkeypatch.setattr(experiment, "dimension", dimension)
+    code, out, err = run(capsys, ["determinism", "--q", "2", "--m", "3", "--t", "2",
+                                  "--b", "1", "--u", "2", "--trials", "2", "--seed", "1"])
+    assert (code, out) == (4, "")
+    assert "internal error: injected" in err
+    grid = _write_grid(tmp_path, [{"q": 2, "m": 3, "t": 2, "b": 1, "u": 2}], trials=2)
+    code, out, _ = run(capsys, ["sweep", "--grid", grid])
+    assert (code, out) == (4, "")
 
 
 def test_determinism_out_file(capsys, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from tgoppa import (
     CSV_FIELDS,
     CodeSpec,
+    InternalConsistencyError,
     NoSuchOrderError,
     NotPrimeError,
     ParamSet,
@@ -33,6 +34,8 @@ from tgoppa import (
     trials_csv_text,
     verify_determinism,
 )
+
+from tgoppa import experiment
 
 F16 = make_field(2, 4)
 
@@ -60,6 +63,9 @@ def test_param_set_validation():
         ParamSet(2, 2, 0, 0, 1)
     with pytest.raises(ValueError):
         ParamSet(2, 2, 2, 0, 0)
+    with pytest.raises(NoSuchOrderError):
+        ParamSet(3, 5, 3, 0, 3)  # u = q with b = 0 is the identity map
+    ParamSet(3, 5, 3, 1, 3)
     assert ParamSet.from_dict({"q": "2", "m": "4", "t": "3", "b": "10", "u": "3"}) == \
         ParamSet(2, 4, 3, 10, 3)
 
@@ -128,6 +134,22 @@ def test_run_trials_wraps_errors_with_index():
         run_trials(params, 3, 7)
     assert err.value.index == 0
     assert "trial 0" in str(err.value)
+
+
+def _inconsistent_dimension(spec):
+    raise InternalConsistencyError("injected")
+
+
+def test_run_trials_reraises_internal_consistency_error(monkeypatch):
+    monkeypatch.setattr(experiment, "dimension", _inconsistent_dimension)
+    with pytest.raises(InternalConsistencyError, match="injected"):
+        run_trials(ParamSet(2, 3, 2, 1, 2), 3, 7)
+
+
+def test_sweep_stops_on_internal_consistency_error(monkeypatch):
+    monkeypatch.setattr(experiment, "dimension", _inconsistent_dimension)
+    with pytest.raises(InternalConsistencyError):
+        sweep([ParamSet(2, 3, 2, 1, 2), ParamSet(2, 3, 3, 0, 7)], 2, 11)
 
 
 def test_verify_determinism_single_trial():

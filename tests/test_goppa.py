@@ -1,7 +1,9 @@
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tgoppa import (
     CodeSpec,
@@ -25,7 +27,7 @@ from tgoppa import (
     twist_residue,
 )
 from tgoppa.goppa import _exact_power_log
-from tgoppa.linalg import pack_gf2_row, rank_gf2
+from tgoppa.linalg import pack_gf2_row, rank_gf2, rank_modp
 
 from conftest import random_code_spec, random_poly_nonvanishing
 
@@ -253,6 +255,73 @@ def test_rank_gf2_agrees_with_generic_on_parity_matrices():
         pm = parity_matrix(spec)
         packed = rank_gf2(pack_gf2_row(r) for r in pm.base_rows)
         assert packed == rank_modp([list(r) for r in pm.base_rows], 2)
+
+
+@st.composite
+def gf2_specs(draw):
+    """Random CodeSpecs over GF(2^2)..GF(2^6), n from 1 to the whole field.
+
+    With t = 1 and eta != 0 the column at alpha = g_1/eta is all zero
+    (its classical residue 1/(r - alpha) cancels the twist exactly), and
+    a drawn flag puts that point in the support when it is admissible.
+    """
+    F = make_field(2, draw(st.integers(2, 6)))
+    t = draw(st.integers(1, 3))
+    coeffs = draw(st.lists(st.integers(0, F.order - 1), min_size=t, max_size=t))
+    g = Poly(F, coeffs + [draw(st.integers(1, F.order - 1))])
+    points = [x for x in F.elements() if g(x) != 0]
+    support = draw(st.lists(st.sampled_from(points), min_size=1, unique=True))
+    eta = draw(st.one_of(st.just(0), st.integers(1, F.order - 1)))
+    if t == 1 and eta and draw(st.booleans()):
+        alpha = F.div(g.lead, eta)
+        if alpha in points and alpha not in support:
+            support.append(alpha)
+    return CodeSpec(F, support, g, eta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gf2_specs())
+def test_rank_gf2_packing_matches_kept_oracles(spec):
+    pm = parity_matrix(spec)
+    r = rank(pm)
+    assert r == rank_modp([list(row) for row in pm.base_rows], 2)
+    assert r == rank_gf2(pack_gf2_row(row) for row in pm.base_rows)
+
+
+def test_rank_gf2_packing_on_zero_column():
+    g = Poly(F16, (1, 1))  # root 1
+    eta = 3
+    alpha = F16.div(g.lead, eta)
+    spec = CodeSpec(F16, (0, alpha, 2, 5, 9), g, eta)
+    pm = parity_matrix(spec)
+    assert all(row[1] == 0 for row in pm.ext_rows)
+    assert rank(pm) == rank_modp([list(row) for row in pm.base_rows], 2) == 4
+    assert dimension(spec) == brute_force_dimension(spec) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 3), (2, 5), (3, 2), (3, 3), (5, 2)]), st.integers(0, 2**32))
+def test_base_rows_equal_eager_digit_expansion(qm, seed):
+    F = make_field(*qm)
+    spec = random_code_spec(random.Random(seed), (F,), max_n=20)
+    pm = parity_matrix(spec)
+    eager = tuple(
+        tuple(F.expand(pm.ext_rows[j][i])[l] for i in range(pm.n))
+        for j in range(pm.t)
+        for l in range(pm.m)
+    )
+    assert pm.base_rows == eager
+
+
+def test_matrix_json_golden():
+    spec = CodeSpec(F8, (0, 1, 2, 4, 5, 6, 7), Poly(F8, (3, 1, 1)), 5)
+    text = json.dumps(matrix_to_json(parity_matrix(spec)), separators=(",", ":"))
+    assert text == (
+        '{"q":2,"m":3,"t":2,"n":7,'
+        '"ext_rows":[[6,3,2,6,2,5,3],[6,6,2,1,1,4,4]],'
+        '"base_rows":[[0,1,0,0,0,1,1],[1,1,1,1,1,0,1],[1,0,0,1,0,1,0],'
+        '[0,0,0,1,1,0,0],[1,1,1,0,0,0,0],[1,1,0,0,0,1,1]]}'
+    )
 
 
 def test_spec_json_round_trip():

@@ -14,6 +14,13 @@ def test_pack_gf2_row():
     assert pack_gf2_row([]) == 0
 
 
+def test_pack_gf2_row_long_row_matches_sum_oracle():
+    rng = random.Random(20_000)
+    row = [rng.randrange(2) for _ in range(20_000)]
+    assert pack_gf2_row(row) == sum(bit << j for j, bit in enumerate(row))
+    assert pack_gf2_row(tuple(row)) == pack_gf2_row(iter(row))
+
+
 def test_rank_trivial():
     assert rank_gf2([]) == 0
     assert rank_gf2([0, 0, 0]) == 0
