@@ -16,6 +16,10 @@ Conventions (fixed so that equal inputs always give byte-equal output):
 * orbits are listed by their minimal element, each orbit starting at
   its minimal element; orbits that touch a root of g are dropped whole,
   which keeps the surviving support closed under sigma.
+
+The support is built flat, in one walk of the field
+(:func:`build_support`); :func:`support_orbits` groups it into its
+orbits, runs of u consecutive points.
 """
 
 from __future__ import annotations
@@ -111,16 +115,16 @@ def choose_multiplier(field: Field, u: int) -> int:
     )
 
 
-def support_orbits(
+def build_support(
     field: Field, b: int, u: int, g: Poly, max_orbits: int | None = None
-) -> list[list[int]]:
-    """Support of the (b, u) construction, grouped by orbit.
+) -> list[int]:
+    """Support of the (b, u) construction as one flat, ordered list.
 
-    For u == 1 every non-root of g forms its own singleton group.  For
-    u > 1 the groups are the complete size-u orbits of sigma = (a, b)
-    avoiding the roots of g, ordered by minimal element.  ``max_orbits``
-    keeps only the first that many groups (the single-orbit, cyclic case
-    is max_orbits = 1).
+    The field is walked once.  For u == 1 the support is every non-root
+    of g.  For u > 1 it is the complete size-u orbits of sigma = (a, b)
+    avoiding the roots of g, ordered by minimal element, so each run of u
+    consecutive points is one orbit.  ``max_orbits`` keeps only the first
+    that many orbits (the single-orbit, cyclic case is max_orbits = 1).
     """
     field.check(b)
     if g.field != field:
@@ -129,31 +133,32 @@ def support_orbits(
         raise ValueError("g must be nonzero")
     if max_orbits is not None and max_orbits < 1:
         raise ValueError("max_orbits must be >= 1")
-    roots = {x for x in field.elements() if g(x) == 0}
     if u == 1:
-        orbits = [[x] for x in field.elements() if x not in roots]
+        support = [x for x in field.elements() if g(x) != 0]
     else:
         sigma = AffineMap(field, choose_multiplier(field, u), b)
-        seen: set[int] = set()
-        orbits = []
+        seen = bytearray(field.order)
+        support = []
         for x in field.elements():
-            if x in seen:
+            if seen[x]:
                 continue
             orb = sigma.orbit(x)
-            seen.update(orb)
-            if len(orb) == u and not roots.intersection(orb):
-                orbits.append(orb)
-    if not orbits:
+            for y in orb:
+                seen[y] = 1
+            if len(orb) == u and all(g(y) != 0 for y in orb):
+                support.extend(orb)
+    if not support:
         raise EmptySupportError(
             f"no admissible orbit for b={b}, u={u} with g={g.to_string()!r}"
         )
     if max_orbits is not None:
-        orbits = orbits[:max_orbits]
-    return orbits
+        del support[max_orbits * u :]
+    return support
 
 
-def build_support(
+def support_orbits(
     field: Field, b: int, u: int, g: Poly, max_orbits: int | None = None
-) -> list[int]:
-    """Flat, ordered support list; see :func:`support_orbits`."""
-    return [x for orb in support_orbits(field, b, u, g, max_orbits) for x in orb]
+) -> list[list[int]]:
+    """The support of :func:`build_support` in chunks of u points, one per orbit."""
+    support = build_support(field, b, u, g, max_orbits)
+    return [support[i : i + u] for i in range(0, len(support), u)]

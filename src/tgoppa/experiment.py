@@ -361,23 +361,7 @@ def read_trials_csv(src) -> list[TrialRecord]:
     reader = csv.DictReader(src)
     if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_FIELDS:
         raise ValueError(f"unexpected CSV header: {reader.fieldnames}")
-    out = []
-    for row in reader:
-        out.append(
-            TrialRecord(
-                params=ParamSet(
-                    int(row["q"]), int(row["m"]), int(row["t"]),
-                    int(row["b"]), int(row["u"]),
-                ),
-                a=int(row["a"]),
-                n=int(row["n"]),
-                g=row["g"],
-                eta=int(row["eta"]),
-                k=int(row["k"]),
-                seed=int(row["seed"]),
-            )
-        )
-    return out
+    return [record_from_dict({**row, "params": row}) for row in reader]
 
 
 def trials_csv_text(records) -> str:

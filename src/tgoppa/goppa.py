@@ -12,11 +12,17 @@ The column residue h_i is the bracketed term reduced mod g; the twist
 part is a constant, so it only shifts the degree-0 coefficient of the
 classical residue.  eta == 0 recovers the classical Goppa code.
 
+Each spec computes its residues once, straight into t row-major rows:
+row j holds the x^j coefficient of every column, as a compact stdlib
+``array`` of the smallest unsigned typecode that holds q^m - 1, exposed
+through a read-only ``memoryview`` because the spec caches it.  The
+per-column view ``residues()`` is derived from these rows on demand.
+
 Dimension is computed over GF(q): the t x n matrix of residue
 coefficients over GF(q^m) is expanded digit-wise into an mt x n matrix
 over GF(q) (polynomial-basis coordinates) and eliminated exactly, so
 k = n - rank.  For q = 2 the expanded rows are packed into bitmasks
-straight from the residue coefficients, without the digit tuples.
+straight from the residue rows, without the digit tuples.
 ``brute_force_dimension`` recomputes k by enumerating all q^n words
 against the defining congruence and is deliberately independent of the
 elimination path.
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from array import array
 from dataclasses import dataclass
 
 from .errors import (
@@ -40,10 +47,15 @@ from .polyring import Poly, modinv
 DEFAULT_ENUMERATION_CAP = 1 << 20
 
 
+def _typecode(order: int) -> str:
+    """Smallest unsigned ``array`` typecode that holds every encoding below order."""
+    return next(c for c in "BHILQ" if order <= 1 << 8 * array(c).itemsize)
+
+
 class CodeSpec:
     """One twisted Goppa code instance; validated on construction."""
 
-    __slots__ = ("field", "support", "g", "eta", "_residues")
+    __slots__ = ("field", "support", "g", "eta", "_rows", "_columns")
 
     def __init__(self, field: Field, support, g: Poly, eta: int):
         if g.field != field:
@@ -66,7 +78,8 @@ class CodeSpec:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "_residues", None)
+        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CodeSpec is immutable")
@@ -85,32 +98,52 @@ class CodeSpec:
             f"eta={self.eta})"
         )
 
+    def rows(self) -> tuple[memoryview, ...]:
+        """Residue coefficients row-major: rows()[j][i] is the x^j coefficient of h_i.
+
+        Computed once, column by column, into t compact arrays; the cached
+        rows are read-only.
+        """
+        rows = self._rows
+        if rows is None:
+            code = _typecode(self.field.order)
+            filled = [array(code, [0]) * self.n for _ in range(self.t)]
+            for i in range(self.n):
+                for row, c in zip(filled, twist_residue(self, i).coeffs):
+                    row[i] = c
+            rows = tuple(memoryview(row).toreadonly() for row in filled)
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
     def residues(self) -> tuple[tuple[int, ...], ...]:
-        """Column residues h_i as coefficient tuples of length t (cached)."""
-        cached = self._residues
-        if cached is None:
-            cached = tuple(
-                twist_residue(self, i).padded(self.t) for i in range(self.n)
-            )
-            object.__setattr__(self, "_residues", cached)
-        return cached
+        """Column residues h_i as coefficient tuples of length t (cached).
+
+        A column view read off :meth:`rows`; the ``dimension`` path never
+        builds it.
+        """
+        columns = self._columns
+        if columns is None:
+            columns = tuple(zip(*self.rows()))
+            object.__setattr__(self, "_columns", columns)
+        return columns
 
 
 @dataclass(frozen=True)
 class ParityMatrix:
     """Residue coefficients over GF(q^m) and their GF(q) digit expansion.
 
-    ext_rows[j][i] is the x^j coefficient of column i's residue;
-    base_rows has m rows per ext row (digit l of ext row j lands in base
-    row j*m + l), so base_rows is mt x n over GF(q).  base_rows is
-    derived from ext_rows on first access and then cached.
+    ext_rows[j][i] is the x^j coefficient of column i's residue; the ext
+    rows are the spec's compact read-only rows (``CodeSpec.rows``),
+    shared, not copied.  base_rows has m rows per ext row (digit l of ext
+    row j lands in base row j*m + l), so base_rows is mt x n over GF(q).
+    base_rows is derived from ext_rows on first access and then cached.
     """
 
     q: int
     m: int
     t: int
     n: int
-    ext_rows: tuple[tuple[int, ...], ...]
+    ext_rows: tuple[memoryview, ...]
 
     @functools.cached_property
     def base_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -135,9 +168,7 @@ def twist_residue(spec: CodeSpec, index: int) -> Poly:
 
 
 def parity_matrix(spec: CodeSpec) -> ParityMatrix:
-    res = spec.residues()
-    ext_rows = tuple(zip(*res))
-    return ParityMatrix(spec.field.q, spec.field.m, spec.t, spec.n, ext_rows)
+    return ParityMatrix(spec.field.q, spec.field.m, spec.t, spec.n, spec.rows())
 
 
 def _packed_gf2_rows(pm: ParityMatrix):

@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tgoppa import (
     CodeSpec,
@@ -35,6 +35,7 @@ F4 = make_field(2, 2)
 F8 = make_field(2, 3)
 F16 = make_field(2, 4)
 F9 = make_field(3, 2)
+F512 = make_field(2, 9)
 
 G4 = Poly(F4, (2, 1, 1))  # x^2 + x + 2
 WORKED = CodeSpec(F4, (0, 1, 2, 3), G4, 1)
@@ -74,9 +75,9 @@ def test_twist_residue_examples():
 
 def test_parity_matrix_worked_example():
     pm = parity_matrix(WORKED)
-    assert pm.ext_rows == ((3, 3, 0, 0), (3, 3, 2, 2))
+    assert tuple(map(tuple, pm.ext_rows)) == ((3, 3, 0, 0), (3, 3, 2, 2))
     pm0 = parity_matrix(WORKED0)
-    assert pm0.ext_rows == ((3, 0, 1, 3), (3, 3, 2, 2))
+    assert tuple(map(tuple, pm0.ext_rows)) == ((3, 0, 1, 3), (3, 3, 2, 2))
     assert pm.n == 4 and pm.t == 2 and pm.m == 2 and pm.q == 2
     assert len(pm.base_rows) == 4
     assert pm.base_rows == ((1, 1, 0, 0), (1, 1, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1))
@@ -87,6 +88,50 @@ def test_parity_matrix_single_column():
     pm = parity_matrix(spec)
     assert any(pm.ext_rows[j][0] != 0 for j in range(spec.t))
     assert dimension(spec) == 0
+
+
+@st.composite
+def residue_specs(draw):
+    """Random CodeSpecs over q in {2, 3, 5}, fields of 4 to 729 elements, n >= 1.
+
+    GF(2^9) and GF(3^6) need 2-byte rows, the other fields 1-byte rows.
+    """
+    qm = draw(st.sampled_from([(2, 2), (2, 4), (2, 9), (3, 2), (3, 6), (5, 2)]))
+    F = make_field(*qm)
+    t = draw(st.integers(1, 3))
+    coeffs = draw(st.lists(st.integers(0, F.order - 1), min_size=t, max_size=t))
+    g = Poly(F, coeffs + [draw(st.integers(1, F.order - 1))])
+    drawn = draw(
+        st.lists(st.integers(0, F.order - 1), min_size=1, max_size=12, unique=True)
+    )
+    support = [x for x in drawn if g(x) != 0]
+    assume(support)
+    eta = draw(st.one_of(st.just(0), st.integers(1, F.order - 1)))
+    return CodeSpec(F, support, g, eta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(residue_specs())
+@example(CodeSpec(F16, (0,), Poly(F16, (1, 1, 1)), 0))  # n = 1, eta = 0, alpha = 0
+@example(CodeSpec(F512, (0, 1, 300, 511), Poly(F512, (1, 1, 5)), 7))  # 2-byte rows
+def test_rows_and_residues_match_twist_residue(spec):
+    oracle = tuple(twist_residue(spec, i).padded(spec.t) for i in range(spec.n))
+    rows = spec.rows()
+    assert len(rows) == spec.t
+    assert rows[0].itemsize == (1 if spec.field.order <= 256 else 2)
+    for j, row in enumerate(rows):
+        assert tuple(row) == tuple(col[j] for col in oracle)
+    assert spec.residues() == oracle
+
+
+def test_ext_rows_are_the_specs_read_only_rows():
+    pm = parity_matrix(WORKED)
+    assert pm.ext_rows is WORKED.rows()
+    with pytest.raises(TypeError):
+        pm.ext_rows[0][0] = 1
+    # past 2^16 elements the rows widen to 4 bytes
+    F = make_field(2, 17)
+    assert CodeSpec(F, (0, 70000), Poly(F, (1, 1, 1)), 3).rows()[0].itemsize == 4
 
 
 def test_base_rows_collapse_to_ext_rows():
