@@ -13,7 +13,7 @@ from .errors import (
     SizeCapError,
     TrialError,
 )
-from .galois import DEFAULT_SIZE_CAP, Field, is_prime, make_field
+from .galois import DEFAULT_SIZE_CAP, Field, is_prime, make_field, validate_field_params
 from .polyring import Poly, inverse_linear_residue, is_root_free, modinv, xgcd
 from .affine_support import (
     AffineMap,

@@ -89,8 +89,8 @@ def validate_orbit_params(q: int, m: int, u: int, b: int | None = None) -> None:
         )
     if b is None:
         return
-    if not 0 <= b < order:
-        raise ValueError(f"b must lie in [0, {order}), got {b}")
+    if not isinstance(b, int) or not 0 <= b < order:
+        raise ValueError(f"b must lie in [0, {order}) as an int, got {b!r}")
     if u == q and b == 0:
         raise NoSuchOrderError(
             f"u=q={q} needs a nonzero translation b; with b=0 the map is the identity"

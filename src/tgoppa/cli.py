@@ -21,8 +21,8 @@ import json
 import sys
 
 from .affine_support import support_orbits, validate_orbit_params
-from .errors import InternalConsistencyError, NotPrimeError, SizeCapError
-from .galois import DEFAULT_SIZE_CAP, Field, make_field
+from .errors import InternalConsistencyError
+from .galois import Field, make_field
 from .goppa import (
     DEFAULT_ENUMERATION_CAP,
     CodeSpec,
@@ -65,27 +65,12 @@ def _write_json(path: str, obj) -> None:
         f.write("\n")
 
 
-def _validated_field(args) -> Field:
+def _checked(build, *args, prefix: str = ""):
+    """build(*args), with any ValueError it raises reported as a usage error."""
     try:
-        return make_field(args.q, args.m)
-    except (NotPrimeError, SizeCapError, ValueError) as exc:
-        raise _UsageError(str(exc)) from None
-
-
-def _parse_poly(field: Field, text: str, name: str) -> Poly:
-    try:
-        return Poly.from_string(field, text)
-    except ValueError as exc:
-        raise _UsageError(f"bad {name}: {exc}") from None
-
-
-def _parse_element(field: Field, value: int, name: str) -> int:
-    try:
-        return field.check(value)
-    except ValueError:
-        raise _UsageError(
-            f"{name} must be an element encoding in [0, {field.order})"
-        ) from None
+        return build(*args)
+    except ValueError as exc:  # includes NotPrimeError, SizeCapError, NoSuchOrderError
+        raise _UsageError(f"{prefix}{exc}") from None
 
 
 def _resolve_orbits(args, field: Field, g: Poly) -> list[list[int]]:
@@ -94,49 +79,38 @@ def _resolve_orbits(args, field: Field, g: Poly) -> list[list[int]]:
     else:
         if args.b is None or args.u is None:
             raise _UsageError("--support orbit requires --b and --u")
-        b = _parse_element(field, args.b, "--b")
-        u = args.u
-        try:
-            validate_orbit_params(field.q, field.m, u, b)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+        b, u = args.b, args.u
+        _checked(validate_orbit_params, field.q, field.m, u, b)
     if args.orbits is not None and args.orbits < 1:
         raise _UsageError("--orbits must be >= 1")
     return support_orbits(field, b, u, g, max_orbits=args.orbits)
 
 
 def _build_spec(args) -> CodeSpec:
-    field = _validated_field(args)
-    g = _parse_poly(field, args.g, "--g")
+    field = _checked(make_field, args.q, args.m)
+    g = _checked(Poly.from_string, field, args.g, prefix="bad --g: ")
     if g.degree < 1:
         raise _UsageError("--g must have degree >= 1")
     if getattr(args, "t", None) is not None and args.t != g.degree:
         raise _UsageError(f"--t {args.t} contradicts deg g = {g.degree}")
-    eta = _parse_element(field, args.eta, "--eta")
+    eta = _checked(field.check, args.eta, prefix="bad --eta: ")
     orbits = _resolve_orbits(args, field, g)
     support = [x for orb in orbits for x in orb]
     return CodeSpec(field, support, g, eta)
-
-
-def _parse_params(args) -> ParamSet:
-    try:
-        return ParamSet(args.q, args.m, args.t, args.b, args.u)
-    except ValueError as exc:  # includes NotPrimeError, NoSuchOrderError
-        raise _UsageError(str(exc)) from None
 
 
 # -- handlers -----------------------------------------------------------------
 
 
 def _cmd_field(args) -> int:
-    field = _validated_field(args)
+    field = _checked(make_field, args.q, args.m)
     print(_json_line(field.to_json()))
     return EXIT_OK
 
 
 def _cmd_support(args) -> int:
-    field = _validated_field(args)
-    g = _parse_poly(field, args.g, "--g")
+    field = _checked(make_field, args.q, args.m)
+    g = _checked(Poly.from_string, field, args.g, prefix="bad --g: ")
     orbits = _resolve_orbits(args, field, g)
     print(_json_line({"orbits": orbits}))
     return EXIT_OK
@@ -180,7 +154,7 @@ def _cmd_oracle_dim(args) -> int:
 
 
 def _cmd_determinism(args) -> int:
-    params = _parse_params(args)
+    params = _checked(ParamSet, args.q, args.m, args.t, args.b, args.u)
     report = verify_determinism(
         params, args.trials, args.seed, allow_zero_eta=args.allow_zero_eta
     )

@@ -20,7 +20,7 @@ class NotPrimeError(ValueError):
 
 
 class SizeCapError(ValueError):
-    """The requested field exceeds the configured size cap."""
+    """The requested field exceeds the fixed size cap ``DEFAULT_SIZE_CAP``."""
 
 
 class FieldMismatchError(ValueError):

@@ -16,7 +16,9 @@ Reproducibility contract:
   do not depend on execution order;
 * sampled g is uniform over degree-t polynomials with nonzero leading
   coefficient and no root anywhere in GF(q^m) (rejection sampling; the
-  global root-freeness keeps the support, hence n, fixed per P);
+  global root-freeness keeps the support, hence n, fixed per P).  This
+  needs t >= 2, since a linear polynomial always has its root, so a
+  parameter set with t < 2 is rejected before anything is drawn;
 * eta is uniform over the nonzero elements unless allow_zero is set.
 """
 
@@ -31,13 +33,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .affine_support import build_support, choose_multiplier, validate_orbit_params
-from .errors import (
-    InternalConsistencyError,
-    NotPrimeError,
-    RejectionCapError,
-    TrialError,
-)
-from .galois import Field, is_prime, make_field
+from .errors import InternalConsistencyError, RejectionCapError, TrialError
+from .galois import Field, make_field, validate_field_params
 from .goppa import CodeSpec, dimension
 from .polyring import Poly, is_root_free
 
@@ -48,7 +45,7 @@ CSV_FIELDS = ("q", "m", "t", "b", "u", "a", "n", "g", "eta", "k", "seed")
 
 @dataclass(frozen=True)
 class ParamSet:
-    """Macro parameters (q, m, t, b, u); validated on construction."""
+    """Macro parameters (q, m, t, b, u), all ints, t >= 2; validated on construction."""
 
     q: int
     m: int
@@ -57,12 +54,8 @@ class ParamSet:
     u: int
 
     def __post_init__(self):
-        if not is_prime(self.q):
-            raise NotPrimeError(f"q must be prime, got {self.q}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.t < 1:
-            raise ValueError(f"t must be >= 1, got {self.t}")
+        validate_field_params(self.q, self.m)
+        _check_degree(self.t)
         validate_orbit_params(self.q, self.m, self.u, self.b)
 
     def to_dict(self) -> dict:
@@ -70,10 +63,21 @@ class ParamSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParamSet":
-        return cls(
-            int(data["q"]), int(data["m"]), int(data["t"]),
-            int(data["b"]), int(data["u"]),
-        )
+        """Ints or decimal strings (CSV rows are text); floats and bools are rejected."""
+        return cls(*(_integer(data[key]) for key in ("q", "m", "t", "b", "u")))
+
+
+def _integer(value) -> int:
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _check_degree(t: int) -> None:
+    if not isinstance(t, int) or t < 2:
+        raise ValueError(f"t must be an int >= 2 (no linear g is root-free), got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -105,27 +109,23 @@ def trial_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def random_root_free_poly(
-    field: Field, t: int, rng: random.Random, max_attempts: int = REJECTION_CAP
-) -> Poly:
-    """Uniform degree-t polynomial with no root in the field.
+def random_root_free_poly(field: Field, t: int, rng: random.Random) -> Poly:
+    """Uniform degree-t polynomial (t >= 2) with no root in the field.
 
     Rejection sampling: t low coefficients uniform over the field, the
     leading one uniform over the nonzero elements, retried until the
-    root scan passes.  Degree 1 always fails (a linear polynomial owns
-    its root), tripping the attempt cap.
+    root scan passes, at most ``REJECTION_CAP`` times.
     """
-    if t < 1:
-        raise ValueError(f"degree t must be >= 1, got {t}")
+    _check_degree(t)
     order = field.order
-    for _ in range(max_attempts):
+    for _ in range(REJECTION_CAP):
         coeffs = [rng.randrange(order) for _ in range(t)]
         coeffs.append(rng.randrange(1, order))
         g = Poly(field, coeffs)
         if is_root_free(g):
             return g
     raise RejectionCapError(
-        f"no root-free degree-{t} polynomial over {field!r} in {max_attempts} draws"
+        f"no root-free degree-{t} polynomial over {field!r} in {REJECTION_CAP} draws"
     )
 
 

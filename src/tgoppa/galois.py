@@ -13,8 +13,11 @@ their non-leading coefficients, the first irreducible one wins.  Every
 run of the library therefore agrees on every element encoding, which
 keeps downstream output reproducible bit for bit.
 
-Fields are small by design (default cap ``2**20`` elements) so that
-irreducibility checks, root scans and orbit walks can all be exhaustive.
+Fields are small by design: the size cap is the fixed constant
+``DEFAULT_SIZE_CAP = 2**20`` elements, so that irreducibility checks, root
+scans and orbit walks can all be exhaustive.  :func:`validate_field_params`
+is the one check of (q, m), shared by :class:`Field` and the experiment
+parameter sets.
 """
 
 from __future__ import annotations
@@ -29,19 +32,23 @@ DEFAULT_SIZE_CAP = 1 << 20
 _TABLE_CAP = 1 << 16
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+def validate_field_params(q: int, m: int) -> None:
+    """Reject a (q, m) that names no GF(q^m) within the size cap.
+
+    Cheap checks run first: m at or above ``DEFAULT_SIZE_CAP.bit_length()``
+    is rejected before ``q**m`` is computed, and primality is tested last,
+    so trial division never runs on a q above the cap.
+    """
+    if not isinstance(q, int) or q < 2:
+        raise NotPrimeError(f"base field order must be a prime int, got {q!r}")
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"extension degree must be an int >= 1, got {m!r}")
+    if m >= DEFAULT_SIZE_CAP.bit_length() or q**m > DEFAULT_SIZE_CAP:
+        raise SizeCapError(
+            f"field order {q}^{m} exceeds the size cap {DEFAULT_SIZE_CAP}"
+        )
+    if not is_prime(q):
+        raise NotPrimeError(f"base field order must be prime, got {q}")
 
 
 def _digits(value: int, q: int, width: int) -> list[int]:
@@ -71,18 +78,13 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def is_prime(n: int) -> bool:
+    """Trial division by every d <= sqrt(n); cheap for any q below the size cap."""
+    return _divisors(n) == [1, n]
+
+
 def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return [d for d in _divisors(n) if is_prime(d)]
 
 
 def _zq_rem(num: list[int], den: list[int], q: int) -> list[int]:
@@ -127,35 +129,32 @@ def _canonical_modulus(q: int, m: int) -> tuple[int, ...]:
 class Field:
     """GF(q^m) for prime q, with integer-encoded elements.
 
-    Arithmetic methods take and return encodings; they assume their
-    arguments are valid (use :meth:`check` at trust boundaries).
+    With no modulus the canonical one is used; a given modulus must be
+    monic, irreducible and of degree m.  Arithmetic methods take and
+    return encodings; they assume their arguments are valid (use
+    :meth:`check` at trust boundaries).
     """
 
     __slots__ = ("q", "m", "modulus", "order", "_mod_mask", "_exp", "_log")
 
-    def __init__(self, q: int, m: int, modulus, *, size_cap: int = DEFAULT_SIZE_CAP):
-        if not isinstance(q, int) or not is_prime(q):
-            raise NotPrimeError(f"base field order must be prime, got {q}")
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"extension degree must be >= 1, got {m}")
-        order = q**m
-        if order > size_cap:
-            raise SizeCapError(
-                f"field order {q}^{m} = {order} exceeds the size cap {size_cap}"
-            )
-        modulus = tuple(modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree exactly m")
-        if any(not isinstance(c, int) or not 0 <= c < q for c in modulus):
-            raise ValueError("modulus coefficients must lie in [0, q)")
-        if not _is_irreducible(modulus, q):
-            raise ValueError(f"modulus {list(modulus)} is reducible over GF({q})")
+    def __init__(self, q: int, m: int, modulus=None):
+        validate_field_params(q, m)
+        if modulus is None:
+            modulus = _canonical_modulus(q, m)  # irreducible by construction
+        else:
+            modulus = tuple(modulus)
+            if len(modulus) != m + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree exactly m")
+            if any(not isinstance(c, int) or not 0 <= c < q for c in modulus):
+                raise ValueError("modulus coefficients must lie in [0, q)")
+            if not _is_irreducible(modulus, q):
+                raise ValueError(f"modulus {list(modulus)} is reducible over GF({q})")
         self.q = q
         self.m = m
         self.modulus = modulus
-        self.order = order
+        self.order = q**m
         self._mod_mask = sum(c << j for j, c in enumerate(modulus)) if q == 2 else 0
-        if m > 1 and order <= _TABLE_CAP:
+        if m > 1 and self.order <= _TABLE_CAP:
             self._exp, self._log = self._build_tables()
         else:
             self._exp = self._log = None
@@ -177,8 +176,8 @@ class Field:
         return {"q": self.q, "m": self.m, "modulus": list(self.modulus)}
 
     @classmethod
-    def from_json(cls, data: dict, *, size_cap: int = DEFAULT_SIZE_CAP) -> "Field":
-        return cls(data["q"], data["m"], data["modulus"], size_cap=size_cap)
+    def from_json(cls, data: dict) -> "Field":
+        return cls(data["q"], data["m"], data["modulus"])
 
     # -- element plumbing ----------------------------------------------
 
@@ -341,15 +340,11 @@ class Field:
         raise InternalConsistencyError(f"order scan failed for {a} in {self!r}")
 
 
-@functools.lru_cache(maxsize=None)
-def make_field(q: int, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Field:
-    """Build GF(q^m) with the canonical (smallest-encoding) modulus."""
-    if not isinstance(q, int) or not is_prime(q):
-        raise NotPrimeError(f"base field order must be prime, got {q}")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"extension degree must be >= 1, got {m}")
-    if q**m > size_cap:
-        raise SizeCapError(
-            f"field order {q}^{m} = {q ** m} exceeds the size cap {size_cap}"
-        )
-    return Field(q, m, _canonical_modulus(q, m), size_cap=size_cap)
+@functools.lru_cache(maxsize=None, typed=True)
+def make_field(q: int, m: int) -> Field:
+    """GF(q^m) with the canonical (smallest-encoding) modulus, built once per (q, m).
+
+    The cache is typed, so a float 2.0 is validated (and rejected), never
+    served the cached field of the int 2.
+    """
+    return Field(q, m)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -63,15 +64,25 @@ class CodeSpec:
         if g.degree < 1:
             raise InvalidSpecError("g must have degree >= 1")
         try:
-            support = tuple(field.check(x) for x in support)
             field.check(eta)
         except ValueError as exc:
             raise InvalidSpecError(str(exc)) from None
+        support = tuple(support)
         if not support:
             raise InvalidSpecError("support must be nonempty")
-        if len(set(support)) != len(support):
-            raise InvalidSpecError("support points must be distinct")
-        bad = [x for x in support if g(x) == 0]
+        # One walk: range check, duplicate mark and root scan per point.
+        seen = bytearray(field.order)
+        bad = []
+        for x in support:
+            try:
+                field.check(x)
+            except ValueError as exc:
+                raise InvalidSpecError(str(exc)) from None
+            if seen[x]:
+                raise InvalidSpecError("support points must be distinct")
+            seen[x] = 1
+            if g(x) == 0:
+                bad.append(x)
         if bad:
             raise InvalidSpecError(f"g vanishes on support points {bad}")
         object.__setattr__(self, "field", field)
@@ -174,23 +185,29 @@ def parity_matrix(spec: CodeSpec) -> ParityMatrix:
 def _packed_gf2_rows(pm: ParityMatrix):
     """base_rows of a q = 2 matrix as bitmasks (bit i = column i).
 
-    Each cell is formatted once as m bits, most significant first, with
-    the columns joined in reverse order, so bit l of every cell forms the
-    stride-m slice starting at m - 1 - l, read as one binary number.
+    Each compact ext row of w-bit cells is read as one int in native byte
+    order and formatted once as w*n bits, most significant first.  On a
+    little-endian host the columns then run from n - 1 down to 0, so bit
+    l of every cell is the stride-w slice starting at w - 1 - l; on a
+    big-endian host they run from 0 up, and the slice is walked backwards.
     """
-    m = pm.m
-    fmt = f"0{m}b"
+    n = pm.n
     for row in pm.ext_rows:
-        bits = "".join([format(a, fmt) for a in reversed(row)])
-        for l in range(m):
-            yield int(bits[m - 1 - l :: m] or "0", 2)
+        w = 8 * row.itemsize
+        bits = format(int.from_bytes(row, sys.byteorder), f"0{w * n}b")
+        if sys.byteorder == "little":
+            start, step = w - 1, w
+        else:
+            start, step = w * n - 1, -w
+        for l in range(pm.m):
+            yield int(bits[start - l :: step] or "0", 2)
 
 
 def rank(pm: ParityMatrix) -> int:
     """Exact GF(q) rank of the expanded parity matrix."""
     if pm.q == 2:
         return rank_gf2(_packed_gf2_rows(pm))
-    return rank_modp([list(row) for row in pm.base_rows], pm.q)
+    return rank_modp(pm.base_rows, pm.q)
 
 
 def dimension(spec: CodeSpec) -> int:
@@ -201,7 +218,7 @@ def dimension(spec: CodeSpec) -> int:
 def kernel_basis(spec: CodeSpec) -> list[tuple[int, ...]]:
     """A basis of the code over GF(q), one tuple per dimension."""
     pm = parity_matrix(spec)
-    basis = nullspace_modp([list(row) for row in pm.base_rows], pm.q, pm.n)
+    basis = nullspace_modp(pm.base_rows, pm.q, pm.n)
     if len(basis) != pm.n - rank(pm):
         raise InternalConsistencyError("nullspace size disagrees with rank")
     return basis

@@ -7,6 +7,8 @@ Both paths must agree wherever they overlap; the test suite checks this.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 
 def pack_gf2_row(row) -> int:
     """Bitmask of a 0/1 row (bit j = column j), in time linear in its length."""
@@ -27,8 +29,8 @@ def rank_gf2(rows) -> int:
     return len(pivots)
 
 
-def rref_modp(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form mod p; returns (matrix, pivot columns)."""
+def rref_modp(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form mod p, on a copy; returns (matrix, pivot columns)."""
     mat = [[x % p for x in row] for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
@@ -52,11 +54,13 @@ def rref_modp(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]
     return mat, pivots
 
 
-def rank_modp(rows: list[list[int]], p: int) -> int:
+def rank_modp(rows: Sequence[Sequence[int]], p: int) -> int:
     return len(rref_modp(rows, p)[1])
 
 
-def nullspace_modp(rows: list[list[int]], p: int, ncols: int) -> list[tuple[int, ...]]:
+def nullspace_modp(
+    rows: Sequence[Sequence[int]], p: int, ncols: int
+) -> list[tuple[int, ...]]:
     """Basis of {x : M x = 0} over GF(p), one vector per free column.
 
     Deterministic: free columns are visited in ascending order and each

@@ -1,6 +1,6 @@
 """Shared helpers for building random code instances."""
 
-from tgoppa import CodeSpec, Poly
+from tgoppa import CodeSpec, Poly, RejectionCapError, experiment
 
 
 def random_poly_nonvanishing(rng, field, t, points, max_attempts=20_000):
@@ -35,3 +35,15 @@ def random_code_spec(rng, fields, max_n=12, t_choices=(1, 2, 3), eta_mode="mixed
     else:
         eta = rng.randrange(field.order)
     return CodeSpec(field, support, g, eta)
+
+
+def sampler_failing_at_degree(t_bad):
+    """experiment.random_root_free_poly, except that degree t_bad always hits the cap."""
+    sample = experiment.random_root_free_poly
+
+    def random_root_free_poly(field, t, rng):
+        if t == t_bad:
+            raise RejectionCapError("injected")
+        return sample(field, t, rng)
+
+    return random_root_free_poly

@@ -5,6 +5,8 @@ import pytest
 from tgoppa import InternalConsistencyError, experiment
 from tgoppa.cli import main
 
+from conftest import sampler_failing_at_degree
+
 DIM_ARGS = ["dim", "--q", "2", "--m", "2", "--t", "2", "--g", "2,1,1",
             "--eta", "1", "--support", "all"]
 
@@ -70,6 +72,26 @@ def test_usage_error_u_equals_q_with_zero_translation(capsys):
         main(["determinism", "--q", "3", "--m", "5", "--t", "3", "--b", "0",
               "--u", "3", "--trials", "2", "--seed", "1"])
     assert exc.value.code == 2
+
+
+def test_usage_errors_before_any_computation(capsys, monkeypatch):
+    def random_root_free_poly(field, t, rng):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(experiment, "random_root_free_poly", random_root_free_poly)
+    trial = ["--b", "0", "--u", "1", "--seed", "1", "--trials", "1"]
+    for argv in (
+        ["field", "--q", "3", "--m", "100000000"],
+        ["field", "--q", str(10**30 + 57), "--m", "1"],
+        ["determinism", "--q", "2", "--m", "30", "--t", "3", *trial],
+        ["determinism", "--q", "2", "--m", "8", "--t", "1", *trial],
+        ["dim", "--q", "2", "--m", "2", "--g", "2,1,1", "--eta", "7"],
+        ["support", "--q", "2", "--m", "2", "--g", "2,1,1", "--support", "orbit",
+         "--b", "9", "--u", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_unknown_command(capsys):
@@ -240,9 +262,10 @@ def test_sweep_json_output(capsys, tmp_path):
     assert code == (3 if doc["counterexamples"] else 0)
 
 
-def test_sweep_reports_per_entry_errors(capsys, tmp_path):
+def test_sweep_reports_per_entry_errors(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "random_root_free_poly", sampler_failing_at_degree(3))
     grid = _write_grid(tmp_path, [
-        {"q": 2, "m": 3, "t": 1, "b": 1, "u": 2},   # t=1: sampling always fails
+        {"q": 2, "m": 3, "t": 3, "b": 1, "u": 2},   # sampling always fails
         {"q": 2, "m": 3, "t": 2, "b": 1, "u": 2},
     ], trials=2)
     code, out, err = run(capsys, ["sweep", "--grid", grid, "--format", "json"])
@@ -256,11 +279,12 @@ def test_sweep_reports_per_entry_errors(capsys, tmp_path):
 def test_sweep_rejects_malformed_entry_but_continues(capsys, tmp_path):
     grid = _write_grid(tmp_path, [
         {"q": 2, "m": 3, "t": 2, "b": 1, "u": 5},   # u invalid for GF(8)
+        {"q": 2.9, "m": 3, "t": 2, "b": 1, "u": 2},  # not truncated to q = 2
         {"q": 2, "m": 3, "t": 2, "b": 1, "u": 2},
     ], trials=2)
     code, out, err = run(capsys, ["sweep", "--grid", grid, "--format", "json"])
     doc = json.loads(out)
-    assert any(r["error"] for r in doc["reports"])
+    assert [r["params"]["u"] for r in doc["reports"] if r["error"]] == [5, 2]
     assert len(doc["records"]) == 2
     assert "rejected" in err
     assert code in (1, 3)

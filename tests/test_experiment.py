@@ -14,6 +14,7 @@ from tgoppa import (
     ParamSet,
     Poly,
     RejectionCapError,
+    SizeCapError,
     TrialError,
     TrialRecord,
     brute_force_dimension,
@@ -36,6 +37,8 @@ from tgoppa import (
 )
 
 from tgoppa import experiment
+
+from conftest import sampler_failing_at_degree
 
 F16 = make_field(2, 4)
 
@@ -66,8 +69,20 @@ def test_param_set_validation():
     with pytest.raises(NoSuchOrderError):
         ParamSet(3, 5, 3, 0, 3)  # u = q with b = 0 is the identity map
     ParamSet(3, 5, 3, 1, 3)
-    assert ParamSet.from_dict({"q": "2", "m": "4", "t": "3", "b": "10", "u": "3"}) == \
-        ParamSet(2, 4, 3, 10, 3)
+    with pytest.raises(ValueError):
+        ParamSet(2, 3, 1, 1, 2)  # no linear polynomial is root-free
+    with pytest.raises(SizeCapError):
+        ParamSet(2, 21, 2, 0, 1)
+    for bad in ((2.0, 3, 2, 1, 2), (2, 3.0, 2, 1, 2), (2, 3, 2.0, 1, 2),
+                (2.0, 3.0, 2.0, 1, 2), (2, 3, 2, 1.0, 2)):
+        with pytest.raises(ValueError):
+            ParamSet(*bad)
+    good = {"q": "2", "m": "4", "t": "3", "b": "10", "u": "3"}
+    assert ParamSet.from_dict(good) == ParamSet(2, 4, 3, 10, 3)
+    assert ParamSet.from_dict({**good, "b": 10}) == ParamSet(2, 4, 3, 10, 3)
+    for key, value in (("q", 2.9), ("q", "2.9"), ("b", True), ("t", 3.0)):
+        with pytest.raises(ValueError):
+            ParamSet.from_dict({**good, key: value})
 
 
 def test_random_root_free_poly_replay_and_postcondition():
@@ -81,9 +96,16 @@ def test_random_root_free_poly_replay_and_postcondition():
         assert all(g(a) != 0 for a in F16.elements())
 
 
-def test_random_root_free_poly_degree_one_hits_cap():
-    with pytest.raises(RejectionCapError):
+def test_random_root_free_poly_degree_one_hits_cap(monkeypatch):
+    def never(g):
+        raise AssertionError("drew a polynomial for t = 1")
+
+    monkeypatch.setattr(experiment, "is_root_free", never)
+    with pytest.raises(ValueError):
         random_root_free_poly(F16, 1, random.Random(0))
+    monkeypatch.setattr(experiment, "is_root_free", lambda g: False)
+    with pytest.raises(RejectionCapError):
+        random_root_free_poly(F16, 2, random.Random(0))
 
 
 def test_random_eta():
@@ -128,8 +150,9 @@ def test_trial_record_replays_g_eta_and_k():
         assert rec.a == 1  # u = q realized by translation
 
 
-def test_run_trials_wraps_errors_with_index():
-    params = ParamSet(2, 2, 1, 1, 2)  # t = 1 cannot be root-free
+def test_run_trials_wraps_errors_with_index(monkeypatch):
+    monkeypatch.setattr(experiment, "random_root_free_poly", sampler_failing_at_degree(2))
+    params = ParamSet(2, 2, 2, 1, 2)
     with pytest.raises(TrialError) as err:
         run_trials(params, 3, 7)
     assert err.value.index == 0
@@ -182,9 +205,10 @@ def test_sweep_grid_of_one_wraps_verify_determinism():
     assert len(result.records) == 5
 
 
-def test_sweep_records_per_param_errors():
+def test_sweep_records_per_param_errors(monkeypatch):
+    monkeypatch.setattr(experiment, "random_root_free_poly", sampler_failing_at_degree(3))
     good = ParamSet(2, 3, 2, 1, 2)
-    bad = ParamSet(2, 3, 1, 1, 2)  # t = 1: rejection cap inside every trial
+    bad = ParamSet(2, 3, 3, 1, 2)  # rejection cap inside every trial
     result = sweep([good, bad], 4, 11)
     assert len(result.entries) == 2
     assert result.entries[0].error is None

@@ -1,8 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
-from tgoppa import Field, NotPrimeError, SizeCapError, make_field
-from tgoppa.galois import _digits
+from tgoppa import Field, NotPrimeError, SizeCapError, galois, make_field
+from tgoppa.galois import _digits, _prime_factors, is_prime
 
 F4 = make_field(2, 2)
 F8 = make_field(2, 3)
@@ -50,12 +52,27 @@ def test_make_field_rejects_non_prime():
             make_field(q, 2)
 
 
-def test_size_cap():
-    with pytest.raises(SizeCapError):
-        make_field(2, 25)
-    with pytest.raises(SizeCapError):
-        make_field(2, 5, size_cap=31)
-    assert make_field(2, 5, size_cap=32).order == 32
+def test_is_prime_and_prime_factors():
+    primes = [n for n in range(2000) if n > 1 and all(n % d for d in range(2, n))]
+    assert [n for n in range(-3, 2000) if is_prime(n)] == primes
+    assert _prime_factors(65535) == [3, 5, 17, 257]
+    assert _prime_factors(3**10 - 1) == [2, 11, 61]
+
+
+def test_size_cap(monkeypatch):
+    assert make_field(2, 20).order == 1 << 20
+    assert make_field(3, 12).order == 3**12
+
+    def is_prime(n):
+        raise AssertionError(f"primality of {n} tested before the size cap")
+
+    monkeypatch.setattr(galois, "is_prime", is_prime)
+    # (3, 10**8) would spend about a minute on 3**10**8, a 31-digit q on trial division
+    start = time.perf_counter()
+    for q, m in ((2, 21), (3, 13), (3, 10**8), (10**30 + 57, 1)):
+        with pytest.raises(SizeCapError):
+            make_field(q, m)
+    assert time.perf_counter() - start < 5
 
 
 def test_add_examples():
@@ -200,4 +217,6 @@ def test_json_round_trip_and_custom_modulus():
 
 def test_field_equality_and_cache():
     assert make_field(2, 4) is F16
+    with pytest.raises(NotPrimeError):
+        make_field(2.0, 4)  # equal to a cached key, but not an int
     assert Field(2, 4, (1, 1, 0, 0, 1)) == F16

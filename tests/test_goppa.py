@@ -26,7 +26,7 @@ from tgoppa import (
     spec_to_json,
     twist_residue,
 )
-from tgoppa.goppa import _exact_power_log
+from tgoppa.goppa import _exact_power_log, _packed_gf2_rows
 from tgoppa.linalg import pack_gf2_row, rank_gf2, rank_modp
 
 from conftest import random_code_spec, random_poly_nonvanishing
@@ -55,6 +55,11 @@ def test_spec_validation():
         CodeSpec(F4, (0, 1), G4, 7)  # eta out of range
     with pytest.raises(InvalidSpecError):
         CodeSpec(F8, (0, 1), G4, 1)  # g over the wrong field
+    for point in (4, -1, 1.0):
+        with pytest.raises(InvalidSpecError, match="not an element encoding"):
+            CodeSpec(F4, (0, point), G4, 1)
+    with pytest.raises(InvalidSpecError, match=r"\[0, 1\]"):
+        CodeSpec(F4, (0, 2, 1), Poly(F4, (0, 1, 1)), 1)  # every root is listed
 
 
 def test_twist_residue_examples():
@@ -331,6 +336,20 @@ def test_rank_gf2_packing_matches_kept_oracles(spec):
     r = rank(pm)
     assert r == rank_modp([list(row) for row in pm.base_rows], 2)
     assert r == rank_gf2(pack_gf2_row(row) for row in pm.base_rows)
+
+
+def test_packed_gf2_rows_equal_packed_base_rows():
+    rng = random.Random(12)
+    F = make_field(2, 17)
+    specs = [
+        random_code_spec(rng, (F16,), max_n=16),
+        random_code_spec(rng, (F512,), max_n=40),
+        CodeSpec(F, (0, 1, 70000, 99999, 131071), Poly(F, (1, 1, 1)), 3),
+    ]
+    for itemsize, spec in zip((1, 2, 4), specs):
+        pm = parity_matrix(spec)
+        assert {row.itemsize for row in pm.ext_rows} == {itemsize}
+        assert list(_packed_gf2_rows(pm)) == [pack_gf2_row(r) for r in pm.base_rows]
 
 
 def test_rank_gf2_packing_on_zero_column():
