@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from .affine_support import support_orbits, validate_orbit_params
+from .affine_support import build_support, support_orbits, validate_orbit_params
 from .errors import InternalConsistencyError
 from .galois import Field, make_field
 from .goppa import (
@@ -37,6 +37,7 @@ from .goppa import (
 from .polyring import Poly
 from .experiment import (
     ParamSet,
+    _integer,
     report_to_dict,
     sweep,
     sweep_result_to_dict,
@@ -73,30 +74,32 @@ def _checked(build, *args, prefix: str = ""):
         raise _UsageError(f"{prefix}{exc}") from None
 
 
-def _resolve_orbits(args, field: Field, g: Poly) -> list[list[int]]:
+def _trial_count(value) -> int:
+    trials = _checked(_integer, value, prefix="bad trial count: ")
+    if trials < 1:
+        raise _UsageError("trial count must be >= 1")
+    return trials
+
+
+def _orbit_params(args, field: Field) -> tuple[int, int]:
+    """(b, u) of the requested support construction."""
     if args.support == "all":
-        b, u = 0, 1
-    else:
-        if args.b is None or args.u is None:
-            raise _UsageError("--support orbit requires --b and --u")
-        b, u = args.b, args.u
-        _checked(validate_orbit_params, field.q, field.m, u, b)
-    if args.orbits is not None and args.orbits < 1:
-        raise _UsageError("--orbits must be >= 1")
-    return support_orbits(field, b, u, g, max_orbits=args.orbits)
+        return 0, 1
+    if args.b is None or args.u is None:
+        raise _UsageError("--support orbit requires --b and --u")
+    _checked(validate_orbit_params, field.q, field.m, args.u, args.b)
+    return args.b, args.u
 
 
 def _build_spec(args) -> CodeSpec:
     field = _checked(make_field, args.q, args.m)
     g = _checked(Poly.from_string, field, args.g, prefix="bad --g: ")
-    if g.degree < 1:
-        raise _UsageError("--g must have degree >= 1")
     if getattr(args, "t", None) is not None and args.t != g.degree:
         raise _UsageError(f"--t {args.t} contradicts deg g = {g.degree}")
     eta = _checked(field.check, args.eta, prefix="bad --eta: ")
-    orbits = _resolve_orbits(args, field, g)
-    support = [x for orb in orbits for x in orb]
-    return CodeSpec(field, support, g, eta)
+    b, u = _orbit_params(args, field)
+    support = _checked(build_support, field, b, u, g, args.orbits)
+    return _checked(CodeSpec, field, support, g, eta)
 
 
 # -- handlers -----------------------------------------------------------------
@@ -111,7 +114,8 @@ def _cmd_field(args) -> int:
 def _cmd_support(args) -> int:
     field = _checked(make_field, args.q, args.m)
     g = _checked(Poly.from_string, field, args.g, prefix="bad --g: ")
-    orbits = _resolve_orbits(args, field, g)
+    b, u = _orbit_params(args, field)
+    orbits = _checked(support_orbits, field, b, u, g, args.orbits)
     print(_json_line({"orbits": orbits}))
     return EXIT_OK
 
@@ -155,8 +159,9 @@ def _cmd_oracle_dim(args) -> int:
 
 def _cmd_determinism(args) -> int:
     params = _checked(ParamSet, args.q, args.m, args.t, args.b, args.u)
+    trials = _trial_count(args.trials)
     report = verify_determinism(
-        params, args.trials, args.seed, allow_zero_eta=args.allow_zero_eta
+        params, trials, args.seed, allow_zero_eta=args.allow_zero_eta
     )
     payload = report_to_dict(report)
     print(_json_line(payload))
@@ -188,9 +193,7 @@ def _cmd_sweep(args) -> int:
     seed = args.seed if args.seed is not None else grid_doc.get("seed")
     if seed is None:
         raise _UsageError("seed missing: pass --seed or put it in the grid file")
-    trials, seed = int(trials), int(seed)
-    if trials < 1:
-        raise _UsageError("trial count must be >= 1")
+    trials, seed = _trial_count(trials), _checked(_integer, seed, prefix="bad seed: ")
 
     grid, bad_entries = [], []
     for idx, entry in enumerate(raw_entries):

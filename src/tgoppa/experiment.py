@@ -29,7 +29,7 @@ import hashlib
 import io
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .affine_support import build_support, choose_multiplier, validate_orbit_params
@@ -59,7 +59,7 @@ class ParamSet:
         validate_orbit_params(self.q, self.m, self.u, self.b)
 
     def to_dict(self) -> dict:
-        return {"q": self.q, "m": self.m, "t": self.t, "b": self.b, "u": self.u}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParamSet":
@@ -284,15 +284,7 @@ def standard_grid() -> list[ParamSet]:
 
 
 def record_to_dict(record: TrialRecord) -> dict:
-    return {
-        "params": record.params.to_dict(),
-        "a": record.a,
-        "n": record.n,
-        "g": record.g,
-        "eta": record.eta,
-        "k": record.k,
-        "seed": record.seed,
-    }
+    return asdict(record)
 
 
 def record_from_dict(data: dict) -> TrialRecord:

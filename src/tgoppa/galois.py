@@ -83,10 +83,6 @@ def is_prime(n: int) -> bool:
     return _divisors(n) == [1, n]
 
 
-def _prime_factors(n: int) -> list[int]:
-    return [d for d in _divisors(n) if is_prime(d)]
-
-
 def _zq_rem(num: list[int], den: list[int], q: int) -> list[int]:
     """Remainder of num by monic den, coefficients ascending, mod q."""
     rem = list(num)
@@ -154,10 +150,9 @@ class Field:
         self.modulus = modulus
         self.order = q**m
         self._mod_mask = sum(c << j for j, c in enumerate(modulus)) if q == 2 else 0
+        self._exp = self._log = None  # pow falls back to _pow_raw during the build
         if m > 1 and self.order <= _TABLE_CAP:
             self._exp, self._log = self._build_tables()
-        else:
-            self._exp = self._log = None
 
     # -- representation ------------------------------------------------
 
@@ -256,15 +251,7 @@ class Field:
             if x:
                 for j, y in enumerate(db):
                     conv[i + j] = (conv[i + j] + x * y) % q
-        for i in range(2 * m - 2, m - 1, -1):
-            c = conv[i]
-            if c:
-                conv[i] = 0
-                off = i - m
-                for j in range(m):
-                    if self.modulus[j]:
-                        conv[off + j] = (conv[off + j] - c * self.modulus[j]) % q
-        return _undigits(conv[:m], q)
+        return _undigits(_zq_rem(conv, self.modulus, q), q)
 
     def _pow_raw(self, a: int, e: int) -> int:
         acc, base = 1, a
@@ -277,11 +264,7 @@ class Field:
 
     def _build_tables(self):
         span = self.order - 1
-        gen = None
-        for cand in range(2, self.order):
-            if all(self._pow_raw(cand, span // p) != 1 for p in _prime_factors(span)):
-                gen = cand
-                break
+        gen = next((c for c in range(2, self.order) if self.mult_order(c) == span), None)
         if gen is None:
             raise InternalConsistencyError(f"no multiplicative generator in {self!r}")
         exp = [0] * (2 * span)

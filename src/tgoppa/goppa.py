@@ -16,7 +16,8 @@ Each spec computes its residues once, straight into t row-major rows:
 row j holds the x^j coefficient of every column, as a compact stdlib
 ``array`` of the smallest unsigned typecode that holds q^m - 1, exposed
 through a read-only ``memoryview`` because the spec caches it.  The
-per-column view ``residues()`` is derived from these rows on demand.
+rows are the only cached residue form: the per-column view
+``residues()`` is derived from them on each call and is not cached.
 
 Dimension is computed over GF(q): the t x n matrix of residue
 coefficients over GF(q^m) is expanded digit-wise into an mt x n matrix
@@ -56,7 +57,7 @@ def _typecode(order: int) -> str:
 class CodeSpec:
     """One twisted Goppa code instance; validated on construction."""
 
-    __slots__ = ("field", "support", "g", "eta", "_rows", "_columns")
+    __slots__ = ("field", "support", "g", "eta", "_rows")
 
     def __init__(self, field: Field, support, g: Poly, eta: int):
         if g.field != field:
@@ -90,7 +91,6 @@ class CodeSpec:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "_rows", None)
-        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CodeSpec is immutable")
@@ -127,16 +127,12 @@ class CodeSpec:
         return rows
 
     def residues(self) -> tuple[tuple[int, ...], ...]:
-        """Column residues h_i as coefficient tuples of length t (cached).
+        """Column residues h_i as coefficient tuples of length t.
 
-        A column view read off :meth:`rows`; the ``dimension`` path never
-        builds it.
+        A column view derived from :meth:`rows` on each call, not cached;
+        the ``dimension`` path never builds it.
         """
-        columns = self._columns
-        if columns is None:
-            columns = tuple(zip(*self.rows()))
-            object.__setattr__(self, "_columns", columns)
-        return columns
+        return tuple(zip(*self.rows()))
 
 
 @dataclass(frozen=True)
@@ -185,22 +181,21 @@ def parity_matrix(spec: CodeSpec) -> ParityMatrix:
 def _packed_gf2_rows(pm: ParityMatrix):
     """base_rows of a q = 2 matrix as bitmasks (bit i = column i).
 
-    Each compact ext row of w-bit cells is read as one int in native byte
-    order and formatted once as w*n bits, most significant first.  On a
-    little-endian host the columns then run from n - 1 down to 0, so bit
-    l of every cell is the stride-w slice starting at w - 1 - l; on a
-    big-endian host they run from 0 up, and the slice is walked backwards.
+    Each compact ext row of w-bit cells is read as one little-endian int
+    and formatted once as w*n bits, most significant first.  The columns
+    then run from n - 1 down to 0, so bit l of every cell is the stride-w
+    slice starting at w - 1 - l.  A big-endian host reads a byteswapped
+    copy of the row, so that the cells are little-endian there too.
     """
     n = pm.n
     for row in pm.ext_rows:
         w = 8 * row.itemsize
-        bits = format(int.from_bytes(row, sys.byteorder), f"0{w * n}b")
-        if sys.byteorder == "little":
-            start, step = w - 1, w
-        else:
-            start, step = w * n - 1, -w
+        if sys.byteorder == "big":
+            row = array(row.format, row)
+            row.byteswap()
+        bits = format(int.from_bytes(row, "little"), f"0{w * n}b")
         for l in range(pm.m):
-            yield int(bits[start - l :: step] or "0", 2)
+            yield int(bits[w - 1 - l :: w] or "0", 2)
 
 
 def rank(pm: ParityMatrix) -> int:
@@ -227,9 +222,9 @@ def kernel_basis(spec: CodeSpec) -> list[tuple[int, ...]]:
 def is_codeword(spec: CodeSpec, word) -> bool:
     """Evaluate the defining congruence directly on a GF(q)^n word.
 
-    This is polynomial arithmetic over GF(q^m) on the column residues
-    and never touches the expanded matrix, so it can arbitrate between
-    the rank and brute-force dimension routes.
+    Each residue row (one coefficient of x) is summed against the word
+    over GF(q^m); the expanded matrix is never touched, so this can
+    arbitrate between the rank and brute-force dimension routes.
     """
     word = tuple(word)
     if len(word) != spec.n:
@@ -238,18 +233,14 @@ def is_codeword(spec: CodeSpec, word) -> bool:
     if any(not isinstance(c, int) or not 0 <= c < q for c in word):
         raise ValueError("word entries must be integers in [0, q)")
     F = spec.field
-    t = spec.t
-    acc = [0] * t
-    for c, col in zip(word, spec.residues()):
-        if c == 0:
-            continue
-        if c == 1:
-            for j in range(t):
-                acc[j] = F.add(acc[j], col[j])
-        else:
-            for j in range(t):
-                acc[j] = F.add(acc[j], F.mul(c, col[j]))
-    return not any(acc)
+    for row in spec.rows():
+        acc = 0
+        for c, h in zip(word, row):
+            if c:
+                acc = F.add(acc, h if c == 1 else F.mul(c, h))
+        if acc:
+            return False
+    return True
 
 
 def _exact_power_log(count: int, q: int) -> int:
@@ -281,7 +272,7 @@ def brute_force_dimension(spec: CodeSpec, cap: int = DEFAULT_ENUMERATION_CAP) ->
         # running residue sum stays current with one XOR per word.
         m = spec.field.m
         packed = [
-            sum(col[j] << (j * m) for j in range(spec.t)) for col in spec.residues()
+            sum(h << (j * m) for j, h in enumerate(col)) for col in zip(*spec.rows())
         ]
         acc = 0
         count = 1  # the all-zero word

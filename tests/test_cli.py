@@ -85,9 +85,15 @@ def test_usage_errors_before_any_computation(capsys, monkeypatch):
         ["field", "--q", str(10**30 + 57), "--m", "1"],
         ["determinism", "--q", "2", "--m", "30", "--t", "3", *trial],
         ["determinism", "--q", "2", "--m", "8", "--t", "1", *trial],
+        ["determinism", "--q", "2", "--m", "3", "--t", "2", *trial, "--trials", "0"],
         ["dim", "--q", "2", "--m", "2", "--g", "2,1,1", "--eta", "7"],
+        ["dim", "--q", "2", "--m", "2", "--g", "2,1,1", "--eta", "1", "--orbits", "0"],
+        ["dim", "--q", "2", "--m", "2", "--g", "1", "--eta", "1"],
         ["support", "--q", "2", "--m", "2", "--g", "2,1,1", "--support", "orbit",
          "--b", "9", "--u", "2"],
+        ["support", "--q", "2", "--m", "2", "--g", "0"],
+        ["support", "--q", "2", "--m", "2", "--g", "2,1", "--support", "orbit",
+         "--b", "0", "--u", "3"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -288,6 +294,19 @@ def test_sweep_rejects_malformed_entry_but_continues(capsys, tmp_path):
     assert len(doc["records"]) == 2
     assert "rejected" in err
     assert code in (1, 3)
+
+
+def test_sweep_rejects_non_integer_trials_and_seed(capsys, tmp_path, monkeypatch):
+    def random_root_free_poly(field, t, rng):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(experiment, "random_root_free_poly", random_root_free_poly)
+    entries = [{"q": 2, "m": 3, "t": 2, "b": 1, "u": 2}]
+    for trials, seed in ((2.9, 1), (2, 1.7), (True, 1)):
+        grid = _write_grid(tmp_path, entries, trials=trials, seed=seed)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--grid", grid])
+        assert exc.value.code == 2, (trials, seed)
 
 
 def test_sweep_missing_grid_file(capsys):

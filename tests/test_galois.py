@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tgoppa import Field, NotPrimeError, SizeCapError, galois, make_field
-from tgoppa.galois import _digits, _prime_factors, is_prime
+from tgoppa.galois import _digits, is_prime
 
 F4 = make_field(2, 2)
 F8 = make_field(2, 3)
@@ -55,8 +55,6 @@ def test_make_field_rejects_non_prime():
 def test_is_prime_and_prime_factors():
     primes = [n for n in range(2000) if n > 1 and all(n % d for d in range(2, n))]
     assert [n for n in range(-3, 2000) if is_prime(n)] == primes
-    assert _prime_factors(65535) == [3, 5, 17, 257]
-    assert _prime_factors(3**10 - 1) == [2, 11, 61]
 
 
 def test_size_cap(monkeypatch):

@@ -1,6 +1,9 @@
 import itertools
 import json
 import random
+import sys
+from array import array
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -26,7 +29,8 @@ from tgoppa import (
     spec_to_json,
     twist_residue,
 )
-from tgoppa.goppa import _exact_power_log, _packed_gf2_rows
+from tgoppa import goppa
+from tgoppa.goppa import ParityMatrix, _exact_power_log, _packed_gf2_rows
 from tgoppa.linalg import pack_gf2_row, rank_gf2, rank_modp
 
 from conftest import random_code_spec, random_poly_nonvanishing
@@ -338,7 +342,7 @@ def test_rank_gf2_packing_matches_kept_oracles(spec):
     assert r == rank_gf2(pack_gf2_row(row) for row in pm.base_rows)
 
 
-def test_packed_gf2_rows_equal_packed_base_rows():
+def test_packed_gf2_rows_equal_packed_base_rows(monkeypatch):
     rng = random.Random(12)
     F = make_field(2, 17)
     specs = [
@@ -346,10 +350,23 @@ def test_packed_gf2_rows_equal_packed_base_rows():
         random_code_spec(rng, (F512,), max_n=40),
         CodeSpec(F, (0, 1, 70000, 99999, 131071), Poly(F, (1, 1, 1)), 3),
     ]
+    swapped = []
     for itemsize, spec in zip((1, 2, 4), specs):
         pm = parity_matrix(spec)
         assert {row.itemsize for row in pm.ext_rows} == {itemsize}
-        assert list(_packed_gf2_rows(pm)) == [pack_gf2_row(r) for r in pm.base_rows]
+        packed = [pack_gf2_row(r) for r in pm.base_rows]
+        assert list(_packed_gf2_rows(pm)) == packed
+        rows = []
+        for row in pm.ext_rows:
+            copy = array(row.format, row)
+            copy.byteswap()
+            rows.append(memoryview(copy))
+        swapped.append((ParityMatrix(pm.q, pm.m, pm.t, pm.n, tuple(rows)), packed))
+    # Byteswapped rows hold the bytes a host of the other byte order would.
+    other = {"little": "big", "big": "little"}[sys.byteorder]
+    monkeypatch.setattr(goppa, "sys", SimpleNamespace(byteorder=other))
+    for pm, packed in swapped:
+        assert list(_packed_gf2_rows(pm)) == packed
 
 
 def test_rank_gf2_packing_on_zero_column():
