@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptySupportError, NoSuchOrderError, InternalConsistencyError
-from .galois import Field
+from .galois import Field, _check_int
 from .polyring import Poly
 
 
@@ -80,7 +80,7 @@ def validate_orbit_params(q: int, m: int, u: int, b: int | None = None) -> None:
     b, since x -> x + 0 is the identity.  b=None checks u alone.
     """
     order = q**m
-    if not isinstance(u, int) or u < 1:
+    if _check_int(u, "order u") < 1:
         raise ValueError(f"order u must be a positive integer, got {u}")
     if u not in (1, q) and (order - 1) % u != 0:
         raise NoSuchOrderError(
@@ -89,8 +89,8 @@ def validate_orbit_params(q: int, m: int, u: int, b: int | None = None) -> None:
         )
     if b is None:
         return
-    if not isinstance(b, int) or not 0 <= b < order:
-        raise ValueError(f"b must lie in [0, {order}) as an int, got {b!r}")
+    if not 0 <= _check_int(b, "translation b") < order:
+        raise ValueError(f"b must lie in [0, {order}), got {b}")
     if u == q and b == 0:
         raise NoSuchOrderError(
             f"u=q={q} needs a nonzero translation b; with b=0 the map is the identity"
@@ -131,12 +131,13 @@ def build_support(
         raise ValueError("g must be a polynomial over the support's field")
     if g.is_zero:
         raise ValueError("g must be nonzero")
-    if max_orbits is not None and max_orbits < 1:
-        raise ValueError("max_orbits must be >= 1")
+    if max_orbits is not None:
+        _check_int(max_orbits, "max_orbits", 1)
+    a = choose_multiplier(field, u)  # validates u, also for u == 1
     if u == 1:
         support = [x for x in field.elements() if g(x) != 0]
     else:
-        sigma = AffineMap(field, choose_multiplier(field, u), b)
+        sigma = AffineMap(field, a, b)
         seen = bytearray(field.order)
         support = []
         for x in field.elements():

@@ -37,7 +37,6 @@ from .goppa import (
 from .polyring import Poly
 from .experiment import (
     ParamSet,
-    _integer,
     report_to_dict,
     sweep,
     sweep_result_to_dict,
@@ -66,19 +65,12 @@ def _write_json(path: str, obj) -> None:
         f.write("\n")
 
 
-def _checked(build, *args, prefix: str = ""):
-    """build(*args), with any ValueError it raises reported as a usage error."""
+def _checked(build, *args, prefix: str = "", **kwargs):
+    """build(*args, **kwargs), with any ValueError it raises reported as a usage error."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ValueError as exc:  # includes NotPrimeError, SizeCapError, NoSuchOrderError
         raise _UsageError(f"{prefix}{exc}") from None
-
-
-def _trial_count(value) -> int:
-    trials = _checked(_integer, value, prefix="bad trial count: ")
-    if trials < 1:
-        raise _UsageError("trial count must be >= 1")
-    return trials
 
 
 def _orbit_params(args, field: Field) -> tuple[int, int]:
@@ -159,10 +151,10 @@ def _cmd_oracle_dim(args) -> int:
 
 def _cmd_determinism(args) -> int:
     params = _checked(ParamSet, args.q, args.m, args.t, args.b, args.u)
-    trials = _trial_count(args.trials)
-    report = verify_determinism(
-        params, trials, args.seed, allow_zero_eta=args.allow_zero_eta
-    )
+    # The trial count and seed are checked before any draw; a failed trial
+    # raises TrialError, not ValueError, so it is no usage error.
+    report = _checked(verify_determinism, params, args.trials, args.seed,
+                      allow_zero_eta=args.allow_zero_eta)
     payload = report_to_dict(report)
     print(_json_line(payload))
     if args.out:
@@ -184,7 +176,7 @@ def _cmd_sweep(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"tgoppa: error: cannot read grid file: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    raw_entries = grid_doc.get("grid")
+    raw_entries = grid_doc.get("grid") if isinstance(grid_doc, dict) else None
     if not isinstance(raw_entries, list) or not raw_entries:
         raise _UsageError('grid file must contain a nonempty "grid" array')
     trials = args.trials if args.trials is not None else grid_doc.get("trials")
@@ -193,7 +185,6 @@ def _cmd_sweep(args) -> int:
     seed = args.seed if args.seed is not None else grid_doc.get("seed")
     if seed is None:
         raise _UsageError("seed missing: pass --seed or put it in the grid file")
-    trials, seed = _trial_count(trials), _checked(_integer, seed, prefix="bad seed: ")
 
     grid, bad_entries = [], []
     for idx, entry in enumerate(raw_entries):
@@ -206,7 +197,7 @@ def _cmd_sweep(args) -> int:
         print("tgoppa: error: no usable grid entries", file=sys.stderr)
         return EXIT_FAILURE
 
-    result = sweep(grid, trials, seed, allow_zero_eta=args.allow_zero_eta)
+    result = _checked(sweep, grid, trials, seed, allow_zero_eta=args.allow_zero_eta)
     for entry in result.errors:
         print(f"tgoppa: {entry.params} failed: {entry.error}", file=sys.stderr)
     for report in result.counterexamples:

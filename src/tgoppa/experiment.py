@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .affine_support import build_support, choose_multiplier, validate_orbit_params
 from .errors import InternalConsistencyError, RejectionCapError, TrialError
-from .galois import Field, make_field, validate_field_params
+from .galois import Field, _check_int, make_field, validate_field_params
 from .goppa import CodeSpec, dimension
 from .polyring import Poly, is_root_free
 
@@ -55,7 +55,7 @@ class ParamSet:
 
     def __post_init__(self):
         validate_field_params(self.q, self.m)
-        _check_degree(self.t)
+        _check_int(self.t, "degree t", 2)  # no linear g is root-free
         validate_orbit_params(self.q, self.m, self.u, self.b)
 
     def to_dict(self) -> dict:
@@ -64,20 +64,12 @@ class ParamSet:
     @classmethod
     def from_dict(cls, data: dict) -> "ParamSet":
         """Ints or decimal strings (CSV rows are text); floats and bools are rejected."""
-        return cls(*(_integer(data[key]) for key in ("q", "m", "t", "b", "u")))
+        return cls(*(_integer(data[key], key) for key in ("q", "m", "t", "b", "u")))
 
 
-def _integer(value) -> int:
-    if isinstance(value, str):
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _check_degree(t: int) -> None:
-    if not isinstance(t, int) or t < 2:
-        raise ValueError(f"t must be an int >= 2 (no linear g is root-free), got {t!r}")
+def _integer(value, what: str) -> int:
+    """Decimal text (a CSV cell) as an int; any other value must pass the integer rule."""
+    return int(value) if isinstance(value, str) else _check_int(value, what)
 
 
 @dataclass(frozen=True)
@@ -116,7 +108,7 @@ def random_root_free_poly(field: Field, t: int, rng: random.Random) -> Poly:
     leading one uniform over the nonzero elements, retried until the
     root scan passes, at most ``REJECTION_CAP`` times.
     """
-    _check_degree(t)
+    _check_int(t, "degree t", 2)
     order = field.order
     for _ in range(REJECTION_CAP):
         coeffs = [rng.randrange(order) for _ in range(t)]
@@ -139,6 +131,7 @@ def run_trial(params: ParamSet, seed: int, *, allow_zero_eta: bool = False) -> T
     Fully deterministic in (params, seed): g is drawn first, eta second,
     from a fresh stream seeded with ``seed``.
     """
+    _check_int(seed, "seed")
     field = make_field(params.q, params.m)
     a = choose_multiplier(field, params.u)
     rng = random.Random(seed)
@@ -159,9 +152,12 @@ def run_trial(params: ParamSet, seed: int, *, allow_zero_eta: bool = False) -> T
 def run_trials(
     params: ParamSet, trials: int, master_seed: int, *, allow_zero_eta: bool = False
 ) -> list[TrialRecord]:
-    """Run ``trials`` independent trials with hash-derived per-trial seeds."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    """Run ``trials`` independent trials with hash-derived per-trial seeds.
+
+    The trial count and master seed are checked before the first draw.
+    """
+    _check_int(trials, "trial count", 1)
+    _check_int(master_seed, "master seed")
     out = []
     for i in range(trials):
         try:
@@ -288,15 +284,8 @@ def record_to_dict(record: TrialRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> TrialRecord:
-    return TrialRecord(
-        params=ParamSet.from_dict(data["params"]),
-        a=int(data["a"]),
-        n=int(data["n"]),
-        g=data["g"],
-        eta=int(data["eta"]),
-        k=int(data["k"]),
-        seed=int(data["seed"]),
-    )
+    ints = {key: _integer(data[key], key) for key in ("a", "n", "eta", "k", "seed")}
+    return TrialRecord(params=ParamSet.from_dict(data["params"]), g=data["g"], **ints)
 
 
 def report_to_dict(report: DeterminismReport) -> dict:

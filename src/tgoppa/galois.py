@@ -32,6 +32,19 @@ DEFAULT_SIZE_CAP = 1 << 20
 _TABLE_CAP = 1 << 16
 
 
+def _check_int(value, what: str, minimum: int | None = None) -> int:
+    """The package's one integer rule: ``value`` must be of type exactly ``int``.
+
+    Bools, floats and strings are rejected, never truncated, so every
+    integer the library accepts prints, hashes and reads back as itself.
+    :meth:`Field.check` applies the same test inline on its hot path.
+    """
+    if type(value) is not int or (minimum is not None and value < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{what} must be an int{at_least}, got {value!r}")
+    return value
+
+
 def validate_field_params(q: int, m: int) -> None:
     """Reject a (q, m) that names no GF(q^m) within the size cap.
 
@@ -39,10 +52,11 @@ def validate_field_params(q: int, m: int) -> None:
     is rejected before ``q**m`` is computed, and primality is tested last,
     so trial division never runs on a q above the cap.
     """
-    if not isinstance(q, int) or q < 2:
-        raise NotPrimeError(f"base field order must be a prime int, got {q!r}")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"extension degree must be an int >= 1, got {m!r}")
+    try:
+        _check_int(q, "q", 2)
+    except ValueError:
+        raise NotPrimeError(f"base field order must be a prime int, got {q!r}") from None
+    _check_int(m, "extension degree m", 1)
     if m >= DEFAULT_SIZE_CAP.bit_length() or q**m > DEFAULT_SIZE_CAP:
         raise SizeCapError(
             f"field order {q}^{m} exceeds the size cap {DEFAULT_SIZE_CAP}"
@@ -138,10 +152,10 @@ class Field:
         if modulus is None:
             modulus = _canonical_modulus(q, m)  # irreducible by construction
         else:
-            modulus = tuple(modulus)
+            modulus = tuple(_check_int(c, "modulus coefficient") for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree exactly m")
-            if any(not isinstance(c, int) or not 0 <= c < q for c in modulus):
+            if any(not 0 <= c < q for c in modulus):
                 raise ValueError("modulus coefficients must lie in [0, q)")
             if not _is_irreducible(modulus, q):
                 raise ValueError(f"modulus {list(modulus)} is reducible over GF({q})")
@@ -177,8 +191,8 @@ class Field:
     # -- element plumbing ----------------------------------------------
 
     def check(self, a: int) -> int:
-        """Validate an element encoding at a trust boundary."""
-        if not isinstance(a, int) or not 0 <= a < self.order:
+        """Validate an element encoding at a trust boundary (the integer rule, inline)."""
+        if type(a) is not int or not 0 <= a < self.order:
             raise ValueError(f"not an element encoding of {self!r}: {a!r}")
         return a
 
@@ -193,7 +207,7 @@ class Field:
         digits = list(digits)
         if len(digits) != self.m:
             raise ValueError(f"expected {self.m} digits, got {len(digits)}")
-        if any(not 0 <= d < self.q for d in digits):
+        if any(not 0 <= _check_int(d, "digit") < self.q for d in digits):
             raise ValueError("digits must lie in [0, q)")
         return _undigits(digits, self.q)
 

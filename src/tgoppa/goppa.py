@@ -42,7 +42,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidSpecError,
 )
-from .galois import Field
+from .galois import Field, _check_int
 from .linalg import nullspace_modp, rank_gf2, rank_modp
 from .polyring import Poly, modinv
 
@@ -230,8 +230,8 @@ def is_codeword(spec: CodeSpec, word) -> bool:
     if len(word) != spec.n:
         raise ValueError(f"word length {len(word)} != support size {spec.n}")
     q = spec.field.q
-    if any(not isinstance(c, int) or not 0 <= c < q for c in word):
-        raise ValueError("word entries must be integers in [0, q)")
+    if any(not 0 <= _check_int(c, "word entry") < q for c in word):
+        raise ValueError("word entries must lie in [0, q)")
     F = spec.field
     for row in spec.rows():
         acc = 0
@@ -316,7 +316,7 @@ def spec_to_json(spec: CodeSpec) -> dict:
 def spec_from_json(data: dict) -> CodeSpec:
     field = Field(data["q"], data["m"], data["modulus"])
     g = Poly.from_string(field, data["g"])
-    if "t" in data and g.degree != data["t"]:
+    if "t" in data and g.degree != _check_int(data["t"], "t"):
         raise InvalidSpecError(f"g has degree {g.degree}, expected t={data['t']}")
     return CodeSpec(field, data["support"], g, data["eta"])
 

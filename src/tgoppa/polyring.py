@@ -167,9 +167,6 @@ class Poly:
                         rem[i - dd + j] = F.sub(rem[i - dd + j], F.mul(qc, oc))
         return Poly(F, quot), Poly(F, rem)
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 

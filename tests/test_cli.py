@@ -309,6 +309,25 @@ def test_sweep_rejects_non_integer_trials_and_seed(capsys, tmp_path, monkeypatch
         assert exc.value.code == 2, (trials, seed)
 
 
+def test_sweep_grid_file_usage_errors(capsys, tmp_path, monkeypatch):
+    def random_root_free_poly(field, t, rng):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(experiment, "random_root_free_poly", random_root_free_poly)
+    path = tmp_path / "grid.json"
+    for doc in ([1], "x", 3):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--grid", str(path)])
+        assert exc.value.code == 2, doc
+        assert 'nonempty "grid" array' in capsys.readouterr().err
+    # trials and seed are JSON ints; the library rejects text as it does 2.9
+    grid = _write_grid(tmp_path, [{"q": 2, "m": 3, "t": 2, "b": 1, "u": 2}], trials="2")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--grid", grid])
+    assert exc.value.code == 2
+
+
 def test_sweep_missing_grid_file(capsys):
     code, _, err = run(capsys, ["sweep", "--grid", "/nonexistent/grid.json"])
     assert code == 1

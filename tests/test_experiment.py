@@ -7,8 +7,11 @@ import pytest
 
 from tgoppa import (
     CSV_FIELDS,
+    AffineMap,
     CodeSpec,
+    Field,
     InternalConsistencyError,
+    InvalidSpecError,
     NoSuchOrderError,
     NotPrimeError,
     ParamSet,
@@ -19,24 +22,31 @@ from tgoppa import (
     TrialRecord,
     brute_force_dimension,
     build_support,
+    is_codeword,
     is_root_free,
     make_field,
     random_eta,
     random_root_free_poly,
     read_trials_csv,
+    record_to_dict,
     report_to_dict,
     run_trial,
     run_trials,
+    spec_from_json,
+    spec_to_json,
     standard_grid,
     summarize,
     sweep,
     sweep_result_to_dict,
     trial_seed,
     trials_csv_text,
+    validate_field_params,
+    validate_orbit_params,
     verify_determinism,
 )
 
 from tgoppa import experiment
+from tgoppa.experiment import record_from_dict
 
 from conftest import sampler_failing_at_degree
 
@@ -83,6 +93,74 @@ def test_param_set_validation():
     for key, value in (("q", 2.9), ("q", "2.9"), ("b", True), ("t", 3.0)):
         with pytest.raises(ValueError):
             ParamSet.from_dict({**good, key: value})
+
+
+def test_integer_rule_at_every_boundary(monkeypatch):
+    """True and 2.0 (and 1.7 for seeds) are rejected wherever an int enters."""
+    fields = (2, 4, 3, 10, 3)
+    P = ParamSet(*fields)
+    result = sweep([P, ParamSet(3, 2, 2, 4, 3)], 3, 11)
+    assert read_trials_csv(io.StringIO(trials_csv_text(result.records))) == result.records
+    g = random_root_free_poly(F16, 3, random.Random(1))
+    spec = CodeSpec(F16, (0, 1), g, 1)
+    record = record_to_dict(result.records[0])
+
+    def random_root_free_poly_never(field, t, rng):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(experiment, "random_root_free_poly", random_root_free_poly_never)
+    boundaries = [
+        lambda v: validate_field_params(v, 4),
+        lambda v: validate_field_params(2, v),
+        lambda v: Field(2, 2, (v, 1, 1)),  # modulus coefficient
+        F16.check,
+        lambda v: F16.from_digits((v, 0, 0, 0)),
+        lambda v: Poly(F16, (v, 1)),
+        lambda v: AffineMap(F16, v, 0),
+        lambda v: validate_orbit_params(2, 4, v),
+        lambda v: validate_orbit_params(2, 4, 3, v),
+        lambda v: build_support(F16, v, 3, g),
+        lambda v: build_support(F16, 0, v, g),
+        lambda v: build_support(F16, 0, 3, g, max_orbits=v),
+        lambda v: is_codeword(spec, (v, 0)),
+        lambda v: spec_from_json({**spec_to_json(spec), "t": v}),
+        lambda v: random_root_free_poly(F16, v, random.Random(0)),
+        lambda v: run_trials(P, v, 1),
+        lambda v: sweep([P], v, 1),
+        lambda v: record_from_dict({**record, "k": v}),
+    ]
+    seeds = [
+        lambda v: run_trial(P, v),
+        lambda v: run_trials(P, 1, v),
+        lambda v: sweep([P], 1, v),
+        lambda v: verify_determinism(P, 1, v),
+    ]
+    for i in range(5):
+        boundaries.append(lambda v, i=i: ParamSet(*fields[:i], v, *fields[i + 1:]))
+    for values, checks in (((True, 2.0), boundaries), ((True, 2.0, 1.7), seeds)):
+        for check in checks:
+            for v in values:
+                with pytest.raises(ValueError):
+                    check(v)
+    for v in (True, 2.0):
+        with pytest.raises(InvalidSpecError):
+            CodeSpec(F16, (0, v), g, 1)
+        with pytest.raises(InvalidSpecError):
+            CodeSpec(F16, (0, 1), g, v)
+
+    # ParamSet(*v) and from_dict accept and reject the same non-text values.
+    good = P.to_dict()
+    for key in good:
+        for v in (True, False, 2.0, 3.0, 1.7, 2, 3, 10):
+            data = {**good, key: v}
+            built = []
+            for build in (lambda: ParamSet(*data.values()), lambda: ParamSet.from_dict(data)):
+                try:
+                    built.append(build())
+                except ValueError:
+                    built.append(None)
+            assert built[0] == built[1], data
+            assert built[0] is None or type(v) is int, data
 
 
 def test_random_root_free_poly_replay_and_postcondition():

@@ -180,6 +180,20 @@ def test_frobenius_additivity_gf9(a, b):
     assert F.pow(F.add(a, b), 3) == F.add(F.pow(a, 3), F.pow(b, 3))
 
 
+ODD_Q_FIELDS = (F9, make_field(3, 6), make_field(5, 4), make_field(7, 1))
+
+
+@given(st.data())
+def test_odd_q_add_sub_neg_match_digitwise_oracle(data):
+    F = data.draw(st.sampled_from(ODD_Q_FIELDS))
+    a = data.draw(st.integers(0, F.order - 1))
+    b = data.draw(st.integers(0, F.order - 1))
+    q, da, db = F.q, F.expand(a), F.expand(b)
+    assert F.add(a, b) == F.from_digits([(x + y) % q for x, y in zip(da, db)])
+    assert F.sub(a, b) == F.from_digits([(x - y) % q for x, y in zip(da, db)])
+    assert F.neg(a) == F.from_digits([-x % q for x in da])
+
+
 def test_table_path_matches_raw_multiply():
     for field in (F16, F9):
         assert field._exp is not None  # small fields are table-backed
