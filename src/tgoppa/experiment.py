@@ -129,9 +129,10 @@ def run_trial(params: ParamSet, seed: int, *, allow_zero_eta: bool = False) -> T
     """Build and measure one random code for the given parameters.
 
     Fully deterministic in (params, seed): g is drawn first, eta second,
-    from a fresh stream seeded with ``seed``.
+    from a fresh stream seeded with ``seed``, which must be >= 0:
+    ``random.Random`` seeds from |seed|, so -s would replay trial s.
     """
-    _check_int(seed, "seed")
+    _check_int(seed, "seed", 0)
     field = make_field(params.q, params.m)
     a = choose_multiplier(field, params.u)
     rng = random.Random(seed)

@@ -214,36 +214,29 @@ class Field:
     # -- arithmetic -----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
+        """a + b: XOR for q = 2, else base-q digit by digit mod q (:meth:`_digitwise`)."""
         if self.q == 2:
             return a ^ b
-        if self.m == 1:
-            return (a + b) % self.q
-        q = self.q
-        s, mult = 0, 1
-        while a or b:
-            s += ((a + b) % q) * mult
-            a //= q
-            b //= q
-            mult *= q
-        return s
+        return self._digitwise(a, b, 1)
 
     def neg(self, a: int) -> int:
-        if self.q == 2:
-            return a
-        if self.m == 1:
-            return (-a) % self.q
-        q = self.q
-        s, mult = 0, 1
-        while a:
-            s += (-a % q) * mult
-            a //= q
-            mult *= q
-        return s
+        return self.sub(0, a)
 
     def sub(self, a: int, b: int) -> int:
         if self.q == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        return self._digitwise(a, b, -1)
+
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """a + sign*b for odd q, one base-q digit at a time (GF(q) itself included)."""
+        q = self.q
+        s, mult = 0, 1
+        while a or b:
+            s += (a + sign * b) % q * mult
+            a //= q
+            b //= q
+            mult *= q
+        return s
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Schoolbook multiply-and-reduce, independent of the tables."""
@@ -315,8 +308,7 @@ class Field:
 
     def pow(self, a: int, e: int) -> int:
         """a**e by repeated squaring; 0**0 is defined as 1."""
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
+        _check_int(e, "exponent", 0)
         if e == 0:
             return 1
         if a == 0:

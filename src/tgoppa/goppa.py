@@ -162,7 +162,8 @@ class ParityMatrix:
 
 
 def twist_residue(spec: CodeSpec, index: int) -> Poly:
-    """Column residue h_i = (x - alpha_i)^-1 - eta*alpha_i^t/g(alpha_i) mod g."""
+    """Column residue h_i = (x - alpha_i)^-1 - eta*alpha_i^t/g(alpha_i) mod g; the constant
+    twist term is subtracted from the (nonzero) inverse's constant coefficient in place."""
     if not 0 <= index < spec.n:
         raise IndexError(f"column index {index} out of range [0, {spec.n})")
     F = spec.field
@@ -171,7 +172,7 @@ def twist_residue(spec: CodeSpec, index: int) -> Poly:
     if spec.eta == 0 or alpha == 0:
         return base
     twist = F.mul(spec.eta, F.mul(F.pow(alpha, spec.t), F.inv(spec.g(alpha))))
-    return base - Poly.constant(F, twist)
+    return Poly(F, (F.sub(base.coeffs[0], twist),) + base.coeffs[1:])
 
 
 def parity_matrix(spec: CodeSpec) -> ParityMatrix:
@@ -264,9 +265,9 @@ def brute_force_dimension(spec: CodeSpec, cap: int = DEFAULT_ENUMERATION_CAP) ->
     Independent oracle for :func:`dimension`.
     """
     q, n = spec.field.q, spec.n
-    total = q**n
-    if total > cap:
-        raise EnumerationCapError(f"q^n = {total} exceeds the enumeration cap {cap}")
+    _check_int(cap, "enumeration cap", 1)
+    if n >= cap.bit_length() or (total := q**n) > cap:  # q^n >= 2^n: skip a huge power
+        raise EnumerationCapError(f"q^n = {q}^{n} exceeds the enumeration cap {cap}")
     if q == 2:
         # Gray-code walk: step i toggles exactly one coordinate, so the
         # running residue sum stays current with one XOR per word.

@@ -12,6 +12,8 @@ as ``"0"``.  The same format is used on the CLI, in JSON and in CSV.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .errors import FieldMismatchError, NotInvertibleError
 from .galois import Field
 
@@ -113,22 +115,20 @@ class Poly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _zip_with(self, op, other: "Poly") -> "Poly":
         F = _same_field(self, other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] = F.add(out[j], c)
-        return Poly(F, out)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return Poly(F, [op(a, b) for a, b in pairs])
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._zip_with(self.field.add, other)
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self._zip_with(self.field.sub, other)
 
     def __neg__(self) -> "Poly":
         F = self.field
         return Poly(F, [F.neg(c) for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         F = _same_field(self, other)
@@ -184,36 +184,34 @@ class Poly:
         return acc
 
 
-def xgcd(f: Poly, h: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended Euclid: returns (g, u, v) with u*f + v*h = g, g monic."""
+def xgcd(f: Poly, h: Poly) -> tuple[Poly, Poly]:
+    """Extended Euclid tracking only f's cofactor: (d, u) with d = gcd(f, h)
+    monic and u*f == d (mod h), an equality when h = 0."""
     F = _same_field(f, h)
     if f.is_zero and h.is_zero:
         raise ValueError("xgcd(0, 0) is undefined")
     r0, r1 = f, h
     s0, s1 = Poly.one(F), Poly.zero(F)
-    t0, t1 = Poly.zero(F), Poly.one(F)
     while not r1.is_zero:
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    c = Poly.constant(F, F.inv(r0.lead))
-    return r0 * c, s0 * c, t0 * c
+    c = F.inv(r0.lead)
+    return r0.scale(c), s0.scale(c)
 
 
 def modinv(f: Poly, g: Poly) -> Poly:
-    """Inverse of f modulo g; requires gcd(f, g) to be a nonzero constant."""
+    """Inverse of f mod g for a constant gcd: Euclid's cofactor, already of degree < deg g."""
     if g.is_zero:
         raise ZeroDivisionError("zero modulus")
     if g.degree < 1:
         raise ValueError("modulus must have degree >= 1")
-    d, u, _ = xgcd(f, g)
+    d, u = xgcd(f, g)
     if d.degree != 0:
         raise NotInvertibleError(
             f"{f!r} is not invertible mod {g!r} (gcd has degree {d.degree})"
         )
-    # d is monic, hence exactly 1: u*f == 1 (mod g).
-    return u % g
+    return u  # d is monic, hence exactly 1: u*f == 1 (mod g)
 
 
 def inverse_linear_residue(alpha: int, g: Poly) -> Poly:

@@ -128,6 +128,8 @@ def test_integer_rule_at_every_boundary(monkeypatch):
         lambda v: run_trials(P, v, 1),
         lambda v: sweep([P], v, 1),
         lambda v: record_from_dict({**record, "k": v}),
+        lambda v: F16.pow(3, v),
+        lambda v: brute_force_dimension(spec, v),
     ]
     seeds = [
         lambda v: run_trial(P, v),
@@ -142,6 +144,8 @@ def test_integer_rule_at_every_boundary(monkeypatch):
             for v in values:
                 with pytest.raises(ValueError):
                     check(v)
+    with pytest.raises(ValueError):
+        brute_force_dimension(spec, float(1 << 20))  # was accepted, then enumerated
     for v in (True, 2.0):
         with pytest.raises(InvalidSpecError):
             CodeSpec(F16, (0, v), g, 1)
@@ -212,6 +216,15 @@ def test_run_trial_replay_determinism():
     assert r1 == r2
     assert r1.n == 15
     assert max(0, r1.n - 12) <= r1.k <= r1.n
+
+
+def test_trial_seed_must_be_nonnegative(monkeypatch):
+    """random.Random seeds from |seed|, so run_trial(P, -5) would replay seed 5."""
+    params = ParamSet(2, 4, 3, 10, 3)
+    assert len(run_trials(params, 2, -5)) == 2  # master seeds stay any int
+    monkeypatch.setattr(experiment, "random_root_free_poly", sampler_failing_at_degree(3))
+    with pytest.raises(ValueError, match="seed must be an int >= 0"):
+        run_trial(params, -5)
 
 
 def test_trial_record_replays_g_eta_and_k():

@@ -133,6 +133,20 @@ def test_rows_and_residues_match_twist_residue(spec):
     assert spec.residues() == oracle
 
 
+@settings(max_examples=60, deadline=None)
+@given(residue_specs())
+def test_twist_residue_is_classical_residue_minus_twist_constant(spec):
+    """twist_residue edits the constant slot in place; the Poly API says the same."""
+    assume(spec.eta != 0 and any(spec.support))
+    F, g, t = spec.field, spec.g, spec.t
+    for i, alpha in enumerate(spec.support):
+        if alpha == 0:
+            continue
+        monomial = Poly(F, (0,) * t + (spec.eta,))  # eta * x^t
+        twist = Poly.constant(F, F.div(monomial(alpha), g(alpha)))
+        assert twist_residue(spec, i) == modinv(Poly.linear(F, alpha), g) - twist
+
+
 def test_ext_rows_are_the_specs_read_only_rows():
     pm = parity_matrix(WORKED)
     assert pm.ext_rows is WORKED.rows()
@@ -226,6 +240,16 @@ def test_brute_force_cap():
     spec = CodeSpec(F16, tuple(range(1, 16)), Poly(F16, (0, 1)), 1)
     with pytest.raises(EnumerationCapError):
         brute_force_dimension(spec, cap=2**10)
+
+
+def test_brute_force_cap_checked_before_q_to_the_n():
+    class Order(int):
+        def __pow__(self, other):
+            raise AssertionError("q**n was computed")
+
+    huge = SimpleNamespace(field=SimpleNamespace(q=Order(5)), n=1 << 20)
+    with pytest.raises(EnumerationCapError, match=r"5\^1048576"):
+        brute_force_dimension(huge)
 
 
 def test_exact_power_log():

@@ -77,24 +77,25 @@ def test_eval_examples():
 
 def test_xgcd_with_zero():
     f = Poly(F4, (1, 0, 2))  # lead 2
-    g, u, v = xgcd(f, Poly.zero(F4))
-    assert g == f.monic()
+    d, u = xgcd(f, Poly.zero(F4))
+    assert d == f.monic()
     assert u == Poly.constant(F4, F4.inv(2))
-    assert v.is_zero
+    assert u * f == d  # h = 0: the congruence is an equality
 
 
 def test_xgcd_frozen_gf2():
-    g, u, v = xgcd(Poly(F2, (0, 1, 1)), Poly.x(F2))  # x^2+x and x
-    assert g == Poly.x(F2)
+    f, h = Poly(F2, (0, 1, 1)), Poly.x(F2)  # x^2+x and x
+    d, u = xgcd(f, h)
+    assert d == Poly.x(F2)
     assert u.is_zero
-    assert v == Poly.one(F2)
+    assert ((u * f - d) % h).is_zero
 
 
 def test_xgcd_coprime_gf4():
     f, h = Poly.x(F4), G
-    g, u, v = xgcd(f, h)
-    assert g == Poly.one(F4)
-    assert u * f + v * h == Poly.one(F4)
+    d, u = xgcd(f, h)
+    assert d == Poly.one(F4)
+    assert ((u * f - d) % h).is_zero
 
 
 def test_xgcd_both_zero():
@@ -114,10 +115,13 @@ def test_bezout_identity_random(seed):
     h = _random_poly(rng, field, rng.randrange(6))
     if f.is_zero and h.is_zero:
         return
-    g, u, v = xgcd(f, h)
-    assert u * f + v * h == g
-    assert g.lead == 1  # monic
-    assert (f % g).is_zero and (h % g).is_zero
+    d, u = xgcd(f, h)
+    if h.is_zero:
+        assert u * f == d
+    else:
+        assert ((u * f - d) % h).is_zero
+    assert d.lead == 1  # monic
+    assert (f % d).is_zero and (h % d).is_zero
 
 
 @given(st.integers(0, 10**9))
@@ -143,6 +147,44 @@ def test_divmod_round_trip_random(seed):
     q, r = divmod(f, h)
     assert q * h + r == f
     assert r.degree < h.degree
+
+
+def _poly(data, field, max_deg, min_deg=-1):
+    """A hypothesis-drawn polynomial of degree in [min_deg, max_deg] (-1 is zero)."""
+    deg = data.draw(st.integers(min_deg, max_deg))
+    if deg < 0:
+        return Poly.zero(field)
+    coeffs = data.draw(st.lists(st.integers(0, field.order - 1), min_size=deg, max_size=deg))
+    return Poly(field, coeffs + [data.draw(st.integers(1, field.order - 1))])
+
+
+@given(st.data())
+def test_modinv_is_unreduced_inverse_or_raises(data):
+    """modinv's unreduced cofactor already has degree < deg g, for f of any degree."""
+    field = data.draw(st.sampled_from((F2, F8, F9, make_field(5, 1))))
+    f = _poly(data, field, 9)
+    g = _poly(data, field, 5, min_deg=1)
+    d, _ = xgcd(f, g)
+    if d.degree == 0:
+        u = modinv(f, g)
+        assert u.degree < g.degree
+        assert u * f % g == Poly.one(field)
+    else:
+        with pytest.raises(NotInvertibleError):
+            modinv(f, g)
+
+
+@given(st.data())
+def test_sub_is_add_of_negation(data):
+    """Coefficient-wise subtraction, including unequal lengths and cancelling leads."""
+    field = data.draw(st.sampled_from((F2, F9, make_field(5, 2))))
+    f = _poly(data, field, 6)
+    h = _poly(data, field, 6)
+    assert f - h == f + (-h)
+    tail = _poly(data, field, 2)
+    top = Poly(field, (0,) * 3 + f.coeffs)  # x^3 * f: same leads on both sides
+    assert (top + tail) - top == tail
+    assert top - (top + tail) == -tail
 
 
 def test_modinv_examples():
