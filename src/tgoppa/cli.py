@@ -22,7 +22,7 @@ import sys
 
 from .affine_support import build_support, support_orbits, validate_orbit_params
 from .errors import InternalConsistencyError
-from .galois import Field, make_field
+from .galois import Field, _check_int, make_field
 from .goppa import (
     DEFAULT_ENUMERATION_CAP,
     CodeSpec,
@@ -134,9 +134,10 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_oracle_dim(args) -> int:
+    cap = _checked(_check_int, args.cap, "enumeration cap", 1)
     spec = _build_spec(args)
     k_rank = dimension(spec)
-    k_brute = brute_force_dimension(spec, cap=args.cap)
+    k_brute = brute_force_dimension(spec, cap=cap)
     match = k_rank == k_brute
     print(
         _json_line(

@@ -145,7 +145,7 @@ class Field:
     :meth:`check` at trust boundaries).
     """
 
-    __slots__ = ("q", "m", "modulus", "order", "_mod_mask", "_exp", "_log")
+    __slots__ = ("q", "m", "modulus", "order", "_mod_mask", "_exp", "_log", "_zech")
 
     def __init__(self, q: int, m: int, modulus=None):
         validate_field_params(q, m)
@@ -164,9 +164,11 @@ class Field:
         self.modulus = modulus
         self.order = q**m
         self._mod_mask = sum(c << j for j, c in enumerate(modulus)) if q == 2 else 0
-        self._exp = self._log = None  # pow falls back to _pow_raw during the build
+        self._exp = self._log = self._zech = None  # pow falls back to _pow_raw during the build
         if m > 1 and self.order <= _TABLE_CAP:
             self._exp, self._log = self._build_tables()
+            if q != 2:
+                self._zech = self._build_zech()
 
     # -- representation ------------------------------------------------
 
@@ -214,21 +216,54 @@ class Field:
     # -- arithmetic -----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        """a + b: XOR for q = 2, else base-q digit by digit mod q (:meth:`_digitwise`)."""
+        """a + b: XOR for q = 2; for odd q with tables a*(1 + b/a) through the
+        Zech table, else base-q digit by digit mod q (:meth:`_digitwise`)."""
         if self.q == 2:
             return a ^ b
-        return self._digitwise(a, b, 1)
+        zech = self._zech
+        if zech is None:
+            return self._digitwise(a, b, 1)
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        z = zech[log[b] - la]
+        return 0 if z < 0 else self._exp[la + z]
 
     def neg(self, a: int) -> int:
-        return self.sub(0, a)
+        """-a: a itself for q = 2; for odd q with tables a*g^((q^m - 1)/2), since
+        that power of the generator is -1, else digit by digit."""
+        if self.q == 2:
+            return a
+        if self._zech is None:
+            return self._digitwise(0, a, -1)
+        return self._exp[self._log[a] + (self.order >> 1)] if a else 0
 
     def sub(self, a: int, b: int) -> int:
+        """a - b: XOR for q = 2; for odd q with tables a + (-b) through the Zech
+        table, with log(-b) = log b + (q^m - 1)/2, else digit by digit."""
         if self.q == 2:
             return a ^ b
-        return self._digitwise(a, b, -1)
+        zech = self._zech
+        if zech is None:
+            return self._digitwise(a, b, -1)
+        if not b:
+            return a
+        log = self._log
+        lnb = log[b] + (self.order >> 1)
+        if not a:
+            return self._exp[lnb]
+        la = log[a]
+        z = zech[lnb - la]
+        return 0 if z < 0 else self._exp[la + z]
 
     def _digitwise(self, a: int, b: int, sign: int) -> int:
-        """a + sign*b for odd q, one base-q digit at a time (GF(q) itself included)."""
+        """a + sign*b for odd q, one base-q digit at a time (GF(q) itself included).
+
+        The path of odd-q fields without tables, and the oracle of the Zech path.
+        """
         q = self.q
         s, mult = 0, 1
         while a or b:
@@ -284,6 +319,20 @@ class Field:
         for i in range(span, 2 * span):
             exp[i] = exp[i - span]
         return exp, log
+
+    def _build_zech(self) -> list[int]:
+        """Zech logarithms Z[d] = log(1 + g^d) of an odd-q table field, stored twice.
+
+        Adding 1 changes only digit 0, so 1 + e is e - e % q + (e + 1) % q,
+        O(1) per entry.  1 + g^d = 0 exactly at d = (q^m - 1)/2 (g^d = -1);
+        that entry is the sentinel -1 and the sum there is 0.  The table is
+        doubled so that any index in (-span, 2*span), which add and sub
+        produce, reads Z[index mod span] (negative indices count from the end).
+        """
+        q, span, log = self.q, self.order - 1, self._log
+        zech = [log[e - e % q + (e + 1) % q] for e in self._exp[:span]]
+        zech[span >> 1] = -1
+        return zech + zech
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -1,8 +1,11 @@
 """Exact Gaussian elimination over GF(p).
 
 GF(2) rows travel as plain ints used as bit vectors (bit j = column j),
-so row reduction is word-level XOR.  Odd primes use lists of residues.
-Both paths must agree wherever they overlap; the test suite checks this.
+so row reduction is word-level XOR.  :func:`rank_modp` packs rows of
+primes p <= 13 one residue per byte into a single int, so a row update
+is one big-int multiply-add and one ``bytes.translate``; larger primes
+and :func:`rref_modp` use lists of residues.  All paths must agree
+wherever they overlap; the test suite checks this.
 """
 
 from __future__ import annotations
@@ -55,7 +58,37 @@ def rref_modp(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], l
 
 
 def rank_modp(rows: Sequence[Sequence[int]], p: int) -> int:
-    return len(rref_modp(rows, p)[1])
+    """Rank mod p of a matrix of integers (any sign or size).
+
+    For p(p - 1) < 256 (p <= 13) each row is one int with column j in
+    byte j, and pivots are normalized to 1.  Eliminating entry c with a
+    pivot row adds (p - c) * pivot: every byte stays below
+    (p - 1) + (p - 1)^2 < 256, so no lane carries into the next, and one
+    translate maps the bytes back to residues.  The pivot of a row is its
+    first nonzero byte, kept in a dict as in :func:`rank_gf2`.  Larger p
+    take the rank of :func:`rref_modp`, which is also the oracle.
+    """
+    if p * (p - 1) >= 256:
+        return len(rref_modp(rows, p)[1])
+    residue = bytes(x % p for x in range(256))
+    inverse = [0] + [pow(c, p - 2, p) for c in range(1, p)]
+
+    def reduced(v: int) -> int:
+        lanes = v.to_bytes((v.bit_length() + 7) >> 3, "little")
+        return int.from_bytes(lanes.translate(residue), "little")
+
+    pivots: dict[int, int] = {}
+    for row in rows:
+        v = int.from_bytes(bytes(map(p.__rmod__, row)), "little")
+        while v:
+            col = ((v & -v).bit_length() - 1) >> 3
+            c = v >> (col << 3) & 0xFF
+            other = pivots.get(col)
+            if other is None:
+                pivots[col] = v if c == 1 else reduced(v * inverse[c])
+                break
+            v = reduced(v + (p - c) * other)
+    return len(pivots)
 
 
 def nullspace_modp(

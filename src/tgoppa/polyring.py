@@ -19,7 +19,7 @@ from .galois import Field
 
 
 def _same_field(f: "Poly", h: "Poly") -> Field:
-    if f.field != h.field:
+    if f.field is not h.field and f.field != h.field:
         raise FieldMismatchError(f"{f.field!r} vs {h.field!r}")
     return f.field
 
@@ -28,11 +28,21 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs=()):
-        cs = [field.check(c) for c in coeffs]
+        self._set(field, [field.check(c) for c in coeffs])
+
+    def _set(self, field: Field, cs: list[int]) -> None:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _computed(cls, field: Field, cs: list[int]) -> "Poly":
+        """A ring op's result: its coefficients came from field operations on
+        elements, so they skip :meth:`Field.check`; only trailing zeros go."""
+        poly = object.__new__(cls)
+        poly._set(field, cs)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -118,7 +128,7 @@ class Poly:
     def _zip_with(self, op, other: "Poly") -> "Poly":
         F = _same_field(self, other)
         pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return Poly(F, [op(a, b) for a, b in pairs])
+        return Poly._computed(F, [op(a, b) for a, b in pairs])
 
     def __add__(self, other: "Poly") -> "Poly":
         return self._zip_with(self.field.add, other)
@@ -128,7 +138,7 @@ class Poly:
 
     def __neg__(self) -> "Poly":
         F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
+        return Poly._computed(F, [F.neg(c) for c in self.coeffs])
 
     def __mul__(self, other: "Poly") -> "Poly":
         F = _same_field(self, other)
@@ -140,12 +150,12 @@ class Poly:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return Poly(F, out)
+        return Poly._computed(F, out)
 
     def scale(self, c: int) -> "Poly":
         F = self.field
         F.check(c)
-        return Poly(F, [F.mul(c, x) for x in self.coeffs])
+        return Poly._computed(F, [F.mul(c, x) for x in self.coeffs])
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         F = _same_field(self, other)
@@ -165,7 +175,7 @@ class Poly:
                 for j, oc in enumerate(other.coeffs):
                     if oc:
                         rem[i - dd + j] = F.sub(rem[i - dd + j], F.mul(qc, oc))
-        return Poly(F, quot), Poly(F, rem)
+        return Poly._computed(F, quot), Poly._computed(F, rem)
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tgoppa import InternalConsistencyError, experiment
+from tgoppa import InternalConsistencyError, cli, experiment
 from tgoppa.cli import main
 
 from conftest import sampler_failing_at_degree
@@ -176,6 +176,19 @@ def test_oracle_dim_cap_exceeded(capsys):
                                 "--eta", "1", "--support", "all", "--cap", "64"])
     assert code == 1
     assert "cap" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_oracle_dim_rejects_bad_cap_before_computing(capsys, monkeypatch, cap):
+    def fail(spec):
+        raise AssertionError("dimension ran before --cap was checked")
+
+    monkeypatch.setattr(cli, "dimension", fail)
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-dim", "--q", "2", "--m", "2", "--g", "2,1,1", "--eta", "1",
+              "--support", "all", "--cap", cap])
+    assert exc.value.code == 2
+    assert "enumeration cap" in capsys.readouterr().err
 
 
 def test_determinism_single_trial(capsys):

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -192,6 +193,39 @@ def test_odd_q_add_sub_neg_match_digitwise_oracle(data):
     assert F.add(a, b) == F.from_digits([(x + y) % q for x, y in zip(da, db)])
     assert F.sub(a, b) == F.from_digits([(x - y) % q for x, y in zip(da, db)])
     assert F.neg(a) == F.from_digits([-x % q for x in da])
+
+
+@pytest.mark.parametrize("qm", [(3, 2), (5, 2), (3, 3), (7, 2)])
+def test_zech_add_sub_neg_match_digitwise_exhaustively(qm):
+    F = make_field(*qm)
+    assert F._zech is not None  # odd-q table fields add through Zech logs
+    for a in F.elements():
+        assert F.neg(a) == F._digitwise(0, a, -1)
+        assert F.add(a, F.neg(a)) == 0 and F.sub(a, a) == 0
+        for b in F.elements():  # includes a = -b, a = b and zero operands
+            assert F.add(a, b) == F._digitwise(a, b, 1)
+            assert F.sub(a, b) == F._digitwise(a, b, -1)
+
+
+def test_odd_field_above_table_cap_adds_through_digit_loop(monkeypatch):
+    F = make_field(3, 11)
+    assert F.order > galois._TABLE_CAP and F._exp is None and F._zech is None
+    calls = []
+    digitwise = galois.Field._digitwise
+
+    def spy(self, a, b, sign):
+        calls.append(sign)
+        return digitwise(self, a, b, sign)
+
+    monkeypatch.setattr(galois.Field, "_digitwise", spy)
+    rng = random.Random(311)
+    for _ in range(50):
+        a, b = rng.randrange(F.order), rng.randrange(F.order)
+        da, db = F.expand(a), F.expand(b)
+        assert F.add(a, b) == F.from_digits([(x + y) % 3 for x, y in zip(da, db)])
+        assert F.sub(a, b) == F.from_digits([(x - y) % 3 for x, y in zip(da, db)])
+        assert F.neg(a) == F.from_digits([-x % 3 for x in da])
+    assert calls.count(1) == 50 and calls.count(-1) == 100
 
 
 def test_table_path_matches_raw_multiply():

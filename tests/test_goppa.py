@@ -31,7 +31,7 @@ from tgoppa import (
 )
 from tgoppa import goppa
 from tgoppa.goppa import ParityMatrix, _exact_power_log, _packed_gf2_rows
-from tgoppa.linalg import pack_gf2_row, rank_gf2, rank_modp
+from tgoppa.linalg import pack_gf2_row, rank_gf2, rank_modp, rref_modp
 
 from conftest import random_code_spec, random_poly_nonvanishing
 
@@ -492,3 +492,21 @@ def test_membership_via_cleared_denominators():
 
         for word in itertools.product(range(field.q), repeat=n):
             assert member(word) == is_codeword(spec, word)
+
+
+@pytest.mark.parametrize("q, m, t", [(3, 4, 3), (5, 2, 2), (7, 2, 3), (3, 6, 4)])
+def test_odd_q_rank_matches_rref_at_deviant_zero_and_random_twist(q, m, t):
+    F = make_field(q, m)
+    rng = random.Random(q * 100 + m * 10 + t)
+    while True:
+        g = random_poly_nonvanishing(rng, F, t, F.elements())
+        if g.coefficient(t - 1):
+            break
+    eta_star = F.div(F.mul(g.lead, g.lead), g.coefficient(t - 1))
+    support = tuple(F.elements())
+    ranks = {}
+    for eta in (eta_star, 0, rng.randrange(1, F.order)):
+        pm = parity_matrix(CodeSpec(F, support, g, eta))
+        ranks[eta] = rank(pm)
+        assert ranks[eta] == len(rref_modp(pm.base_rows, q)[1])
+    assert ranks[eta_star] < ranks[0]  # the deviant twist drops the rank

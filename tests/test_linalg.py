@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, strategies as st
+
 from tgoppa.linalg import (
     nullspace_modp,
     pack_gf2_row,
@@ -27,6 +29,8 @@ def test_rank_trivial():
     assert rank_gf2([0b1, 0b10, 0b100]) == 3
     assert rank_modp([[0, 0], [0, 0]], 3) == 0
     assert rank_modp([[1, 0], [0, 2]], 3) == 2
+    for p in (2, 3, 5, 7, 11, 13, 17):  # the largest lane sum, (p - 1) + (p - 1)^2
+        assert rank_modp([[1, p - 1], [1, p - 1], [p + 1, -1]], p) == 1
 
 
 def test_rank_worked_example():
@@ -77,3 +81,20 @@ def test_rref_pivots_sorted():
         rows = [[rng.randrange(3) for _ in range(6)] for _ in range(4)]
         _, pivots = rref_modp(rows, 3)
         assert pivots == sorted(pivots)
+
+
+@given(st.data())
+def test_rank_modp_matches_rref_oracle(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13, 17)))
+    nrows = data.draw(st.integers(0, 9), label="nrows")
+    ncols = data.draw(st.integers(0, 40), label="ncols")  # empty, wide and tall
+    entries = st.integers(-3 * p, 3 * p)  # negative and >= p entries
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    basis = data.draw(st.lists(row, max_size=nrows), label="basis")
+    # Rows combine at most len(basis) rows, so the matrix is rank-deficient
+    # (or zero) whenever the basis is shorter than the row count.
+    rows = []
+    for _ in range(nrows):
+        coef = data.draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
+        rows.append([sum(c * b[j] for c, b in zip(coef, basis)) for j in range(ncols)])
+    assert rank_modp(rows, p) == len(rref_modp(rows, p)[1])

@@ -187,6 +187,34 @@ def test_sub_is_add_of_negation(data):
     assert top - (top + tail) == -tail
 
 
+def test_public_constructors_check_coefficients():
+    for bad in (4, -1, 2.0, True):
+        with pytest.raises(ValueError):
+            Poly(F4, (1, bad))
+        with pytest.raises(ValueError):
+            Poly.constant(F4, bad)
+        with pytest.raises(ValueError):
+            Poly.linear(F4, bad)
+    with pytest.raises(ValueError):
+        Poly.from_string(F4, "1,4")
+
+
+@given(st.data())
+def test_ring_op_results_are_normalized_field_polys(data):
+    """Ring ops build their results unchecked; each equals the checked Poly of its
+    coefficients and ends in a nonzero coefficient."""
+    field = data.draw(st.sampled_from((F2, F4, F9, make_field(5, 2), make_field(7, 1))))
+    f = _poly(data, field, 6)
+    h = _poly(data, field, 4)
+    c = data.draw(st.integers(0, field.order - 1))
+    results = [f + h, f - h, -f, f * h, f.scale(c), f.monic()]
+    if not h.is_zero:
+        results.extend(divmod(f, h))
+    for r in results:
+        assert r == Poly(field, r.coeffs)
+        assert not r.coeffs or r.coeffs[-1] != 0
+
+
 def test_modinv_examples():
     assert modinv(Poly.one(F4), G) == Poly.one(F4)
     assert modinv(Poly.x(F4), G) == Poly(F4, (3, 3))
