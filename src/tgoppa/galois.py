@@ -242,22 +242,13 @@ class Field:
         return self._exp[self._log[a] + (self.order >> 1)] if a else 0
 
     def sub(self, a: int, b: int) -> int:
-        """a - b: XOR for q = 2; for odd q with tables a + (-b) through the Zech
-        table, with log(-b) = log b + (q^m - 1)/2, else digit by digit."""
+        """a - b: XOR for q = 2; for odd q with tables add(a, neg(b)), else digit
+        by digit."""
         if self.q == 2:
             return a ^ b
-        zech = self._zech
-        if zech is None:
+        if self._zech is None:
             return self._digitwise(a, b, -1)
-        if not b:
-            return a
-        log = self._log
-        lnb = log[b] + (self.order >> 1)
-        if not a:
-            return self._exp[lnb]
-        la = log[a]
-        z = zech[lnb - la]
-        return 0 if z < 0 else self._exp[la + z]
+        return self.add(a, self.neg(b))
 
     def _digitwise(self, a: int, b: int, sign: int) -> int:
         """a + sign*b for odd q, one base-q digit at a time (GF(q) itself included).

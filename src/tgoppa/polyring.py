@@ -172,9 +172,10 @@ class Poly:
             if c:
                 qc = F.mul(c, inv_lead)
                 quot[i - dd] = qc
+                nqc = F.neg(qc)
                 for j, oc in enumerate(other.coeffs):
                     if oc:
-                        rem[i - dd + j] = F.sub(rem[i - dd + j], F.mul(qc, oc))
+                        rem[i - dd + j] = F.add(rem[i - dd + j], F.mul(nqc, oc))
         return Poly._computed(F, quot), Poly._computed(F, rem)
 
     def __mod__(self, other: "Poly") -> "Poly":

@@ -14,41 +14,90 @@ METRICS = [
 ]
 
 
-def _pairs(parent, change, ok=(1.0, 1.0)):
-    return [({"code_p50_ms": p, "ok_ratio": ok[0]}, {"code_p50_ms": c, "ok_ratio": ok[1]})
+def _runs(parent, change, ok=(1.0, 1.0), failed=(0, 0)):
+    def run(p50, ok_ratio, n_failed):
+        return {"failed": n_failed, "metrics": {"code_p50_ms": p50, "ok_ratio": ok_ratio}}
+    return [{"parent": run(p, ok[0], failed[0]), "change": run(c, ok[1], failed[1])}
             for p, c in zip(parent, change)]
 
 
+PARENT = [90.0, 80.0, 100.0, 85.0, 95.0, 88.0, 92.0, 84.0, 96.0, 91.0]
+CLEAR_GAIN = [60.0, 55.0, 62.0, 58.0, 61.0, 59.0, 57.0, 56.0, 63.0, 95.0]
+
+
 def test_summarize_claims_a_clear_gain():
-    parent = [90.0, 80.0, 100.0, 85.0, 95.0, 88.0, 92.0, 84.0, 96.0, 91.0]
-    change = [60.0, 55.0, 62.0, 58.0, 61.0, 59.0, 57.0, 56.0, 63.0, 95.0]
-    s = bench_pairs.summarize(_pairs(parent, change), METRICS)
-    p50 = s["code_p50_ms"]
+    s = bench_pairs.summarize(_runs(PARENT, CLEAR_GAIN), METRICS)
+    assert s["failed"] == {"parent": 0, "change": 0}
+    p50 = s["metrics"]["code_p50_ms"]
     assert p50["parent"] == {"q1": 85.75, "median": 90.5, "q3": 94.25}
     assert p50["change"]["median"] == 59.5
     assert (p50["change_wins"], p50["ties"], p50["pairs"]) == (9, 0, 10)
     assert p50["worse_by"] == pytest.approx(59.5 / 90.5 - 1)
-    assert p50["within_bound"] and p50["gain"]
-    ok = s["ok_ratio"]
+    assert p50["verdict"] == "within" and p50["gain"]
+    ok = s["metrics"]["ok_ratio"]
     assert (ok["change_wins"], ok["ties"], ok["worse_by"]) == (0, 10, 0.0)
-    assert ok["within_bound"] and not ok["gain"]
+    assert ok["verdict"] == "within" and not ok["gain"]
 
 
 def test_summarize_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_iqr():
-    parent = [90.0, 80.0, 100.0, 85.0, 95.0, 88.0, 92.0, 84.0, 96.0, 91.0]
     eight_wins = [60.0] * 8 + [120.0, 120.0]
-    assert not bench_pairs.summarize(_pairs(parent, eight_wins), METRICS)["code_p50_ms"]["gain"]
-    inside_iqr = [p - 1.0 for p in parent]  # wins every pair, moves 1 ms against an 8.5 ms IQR
-    s = bench_pairs.summarize(_pairs(parent, inside_iqr), METRICS)["code_p50_ms"]
+    s = bench_pairs.summarize(_runs(PARENT, eight_wins), METRICS)["metrics"]["code_p50_ms"]
+    assert not s["gain"]
+    inside_iqr = [p - 1.0 for p in PARENT]  # wins every pair, moves 1 ms against an 8.5 ms IQR
+    s = bench_pairs.summarize(_runs(PARENT, inside_iqr), METRICS)["metrics"]["code_p50_ms"]
     assert s["change_wins"] == 10 and not s["gain"]
 
 
+def test_summarize_needs_ten_pairs_for_a_gain():
+    s = bench_pairs.summarize(_runs([90.0, 80.0], [40.0, 40.0]), METRICS)["metrics"]
+    assert s["code_p50_ms"]["change_wins"] == 2 and not s["code_p50_ms"]["gain"]
+    s = bench_pairs.summarize(_runs(PARENT[:9], CLEAR_GAIN[:9]), METRICS)["metrics"]
+    assert s["code_p50_ms"]["change_wins"] == 9 and not s["code_p50_ms"]["gain"]
+
+
+def test_summarize_voids_a_gain_when_the_change_fails_more_operations():
+    s = bench_pairs.summarize(_runs(PARENT, CLEAR_GAIN, failed=(0, 1)), METRICS)
+    assert s["failed"] == {"parent": 0, "change": 10}
+    assert not s["metrics"]["code_p50_ms"]["gain"]
+    s = bench_pairs.summarize(_runs(PARENT, CLEAR_GAIN, failed=(2, 1)), METRICS)
+    assert s["metrics"]["code_p50_ms"]["gain"]
+
+
 def test_summarize_flags_a_regression_beyond_the_bound():
-    s = bench_pairs.summarize(_pairs([10.0, 10.0], [13.0, 12.0], ok=(1.0, 0.99)), METRICS)
+    s = bench_pairs.summarize(_runs([10.0, 10.0], [13.0, 12.0], ok=(1.0, 0.99)), METRICS)["metrics"]
     assert s["code_p50_ms"]["worse_by"] == pytest.approx(0.25)
-    assert not s["code_p50_ms"]["within_bound"]
+    assert s["code_p50_ms"]["verdict"] == "over"
     assert s["ok_ratio"]["worse_by"] == pytest.approx(0.01)
-    assert not s["ok_ratio"]["within_bound"]
+    assert s["ok_ratio"]["verdict"] == "over"
+
+
+def test_summarize_leaves_a_spread_wider_than_the_bound_unresolved():
+    # parent IQR 1.5 around a median of 2.5: 60%, wider than the 0.24 bound
+    parent = [1.5, 1.8, 2.5, 3.3, 3.5, 1.9, 2.6, 3.4, 2.4, 3.0]
+    better_mostly = [p - 0.5 for p in parent[:8]] + [3.6, 3.7]
+    s = bench_pairs.summarize(_runs(parent, better_mostly), METRICS)["metrics"]["code_p50_ms"]
+    assert s["worse_by"] < 0 and s["verdict"] == "unresolved"
+    worse_a_little = [p + 0.1 for p in parent]
+    s = bench_pairs.summarize(_runs(parent, worse_a_little), METRICS)["metrics"]["code_p50_ms"]
+    assert 0 < s["worse_by"] < 0.24 and s["verdict"] == "unresolved"
+    every_run_better = [1.0] * 10  # below the parent's fastest run: resolved despite the spread
+    s = bench_pairs.summarize(_runs(parent, every_run_better), METRICS)["metrics"]["code_p50_ms"]
+    assert s["verdict"] == "within"
+    far_worse = [p * 2 for p in parent]
+    s = bench_pairs.summarize(_runs(parent, far_worse), METRICS)["metrics"]["code_p50_ms"]
+    assert s["verdict"] == "over"
+
+
+def test_summarize_resolves_a_higher_is_better_metric_by_its_own_direction():
+    metrics = [{"name": "ok_ratio", "better": "higher", "bound": 0.001}]
+    runs = _runs([1.0] * 10, [1.0] * 10, ok=(0.5, 0.9))
+    for r, p in zip(runs, [0.4, 0.5, 0.6] * 3 + [0.5]):
+        r["parent"]["metrics"]["ok_ratio"] = p
+    s = bench_pairs.summarize(runs, metrics)["metrics"]["ok_ratio"]
+    assert s["worse_by"] < 0 and s["verdict"] == "within" and s["change_wins"] == 10
+    s = bench_pairs.summarize([{"parent": r["change"], "change": r["parent"]} for r in runs],
+                              metrics)["metrics"]["ok_ratio"]
+    assert s["verdict"] == "over"
 
 
 def test_quartiles_of_one_run():

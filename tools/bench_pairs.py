@@ -9,12 +9,13 @@ Usage, from the root of a checkout:
 Each directory is a checkout with its own ``bench/run.py``.  Pair i runs
 ``bench/run.py --trace 0`` on both checkouts at seed ``seed-base + i``, the
 parent first on even i and the change first on odd i, one process at a
-time.  For every end-to-end metric in the change's ``BENCHMARK.json`` it
-prints each side's median and quartiles, how many pairs the change won
-(ties count for neither side), and whether the median moved by more than
-the parent's interquartile range.  Every run, with its metadata, goes to
-``BENCH_<id>.json`` at the root of this checkout, with both git revs and
-the Python version.  Standard library only.
+time, each as long as ``run_seconds`` in the change's ``BENCHMARK.json``.
+For every end-to-end metric there it prints each side's median and
+quartiles, how many pairs the change won (ties count for neither side),
+whether the change stays within the metric's bound, and whether it is a
+gain.  Every run, with its metadata, goes to ``BENCH_<id>.json`` at the
+root of this checkout, with both git revs and the Python version.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MIN_PAIRS = 10  # fewer pairs never establish a gain
 
 
 def quartiles(values: list[float]) -> dict:
@@ -38,37 +40,53 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
-    """Per-metric comparison of (parent, change) metric-value pairs.
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per-metric comparison of paired runs, plus the failed-operation totals.
 
-    ``metrics`` holds BENCHMARK.json's end-to-end entries (name, better,
-    bound).  ``worse_by`` is the change's median relative to the parent's,
-    signed so that a positive value is a regression; ``within_bound`` holds
-    when that is at most the bound.  ``gain`` holds when the change won at
-    least nine tenths of the pairs and its median is better than the
-    parent's by more than the parent's interquartile range.
+    Each run pair is ``{"parent": run, "change": run}`` with the ``metrics``
+    and ``failed`` of :func:`run_bench`; ``metrics`` holds BENCHMARK.json's
+    end-to-end entries (name, better, bound).  ``worse_by`` is the change's
+    median relative to the parent's, signed so that a positive value is a
+    regression.  ``verdict`` is "over" when that exceeds the bound,
+    "unresolved" when the parent's interquartile range is wider than the
+    bound relative to its median (unless every change run beats every
+    parent run), else "within".  ``gain`` needs at least MIN_PAIRS pairs,
+    no more failed operations than the parent, a change win in nine tenths
+    of the pairs, and a median better than the parent's by more than the
+    parent's interquartile range.
     """
+    failed = {side: sum(r[side]["failed"] for r in runs) for side in ("parent", "change")}
     out = {}
     for spec in metrics:
         name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
-        parent = [p[name] for p, _ in pairs]
-        change = [c[name] for _, c in pairs]
+        parent = [r["parent"]["metrics"][name] for r in runs]
+        change = [r["change"]["metrics"][name] for r in runs]
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         ties = sum(c == p for p, c in zip(parent, change))
         ps, cs = quartiles(parent), quartiles(change)
+        iqr = ps["q3"] - ps["q1"]
         gap = sign * (ps["median"] - cs["median"])
         worse_by = -gap / ps["median"] if ps["median"] else 0.0
+        spread = iqr / ps["median"] if ps["median"] else (float("inf") if iqr else 0.0)
+        always_better = max(sign * c for c in change) < min(sign * p for p in parent)
+        if worse_by > spec["bound"]:
+            verdict = "over"
+        elif spread > spec["bound"] and not always_better:
+            verdict = "unresolved"
+        else:
+            verdict = "within"
         out[name] = {
             "parent": ps,
             "change": cs,
             "change_wins": wins,
             "ties": ties,
-            "pairs": len(pairs),
+            "pairs": len(runs),
             "worse_by": worse_by,
-            "within_bound": worse_by <= spec["bound"],
-            "gain": wins >= 0.9 * len(pairs) and gap > ps["q3"] - ps["q1"],
+            "verdict": verdict,
+            "gain": (len(runs) >= MIN_PAIRS and failed["change"] <= failed["parent"]
+                     and wins >= 0.9 * len(runs) and gap > iqr),
         }
-    return out
+    return {"failed": failed, "metrics": out}
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -90,14 +108,16 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def print_summary(workload: str, summary: dict) -> None:
+    failed = summary["failed"]
+    print(f"{workload}: failed operations parent {failed['parent']}, change {failed['change']}")
     print(f"{workload}: metric  parent q1/median/q3  ->  change q1/median/q3  "
-          f"wins  worse_by  gain")
-    for name, s in summary.items():
+          f"wins  worse_by  verdict  gain")
+    for name, s in summary["metrics"].items():
         p, c = s["parent"], s["change"]
         print(f"  {name:13s} {p['q1']:.4g}/{p['median']:.4g}/{p['q3']:.4g}  ->  "
               f"{c['q1']:.4g}/{c['median']:.4g}/{c['q3']:.4g}  "
-              f"{s['change_wins']}/{s['pairs']}  {s['worse_by']:+.3f}"
-              f"{'' if s['within_bound'] else ' OVER BOUND'}  {s['gain']}")
+              f"{s['change_wins']}/{s['pairs']}  {s['worse_by']:+.3f}  "
+              f"{s['verdict']}  {s['gain']}")
 
 
 def main(argv=None) -> int:
@@ -108,14 +128,12 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed-base", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: run_seconds of the change's BENCHMARK.json)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     parent, change = args.parent.resolve(), args.change.resolve()
     bench = json.loads((change / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    seconds = bench["run_seconds"]
     doc = {
         "protocol": (f"{args.pairs} pairs per workload of {seconds} s bench/run.py "
                      f"--trace 0 runs at seeds seed_base + i; parent first on even i"),
@@ -135,8 +153,7 @@ def main(argv=None) -> int:
                 pair[side] = run_bench(checkout, workload, seed, seconds)
                 print(f"{workload} seed {seed} {side}: {pair[side]['metrics']}", flush=True)
             runs.append(pair)
-        summary = summarize([(r["parent"]["metrics"], r["change"]["metrics"]) for r in runs],
-                            bench["end_to_end"])
+        summary = summarize(runs, bench["end_to_end"])
         print_summary(workload, summary)
         correct = all(r[side]["correct"] for r in runs for side in ("parent", "change"))
         if not correct:
