@@ -7,8 +7,9 @@ assembled from the complete size-u orbits of sigma.
 
 Conventions (fixed so that equal inputs always give byte-equal output):
 
-* u == 1 asks for the identity map; the support is then simply every
-  field element that is not a root of g, in ascending encoding order.
+* u == 1 asks for the identity map, with b = 0; the support is then
+  simply every field element that is not a root of g, in ascending
+  encoding order.  This is the whole-field support.
 * u == q (the characteristic) is realized by a = 1 with the given
   translation b, which must be nonzero to actually have order q.
 * any other u must divide q^m - 1 and is realized by the
@@ -76,8 +77,10 @@ def validate_orbit_params(q: int, m: int, u: int, b: int | None = None) -> None:
     """Reject a (b, u) pair that names no affine map of order u over GF(q^m).
 
     The one validation path for u and b, before any field work: u must be
-    1, q, or a divisor of q^m - 1, and u == q needs a nonzero translation
-    b, since x -> x + 0 is the identity.  b=None checks u alone.
+    1, q, or a divisor of q^m - 1.  Both u == 1 and u == q are realized by
+    a translation x -> x + b, which has order 1 iff b == 0 and order q
+    otherwise, so u == 1 needs b == 0 and u == q needs b != 0.  b=None
+    checks u alone.
     """
     order = q**m
     if _check_int(u, "order u") < 1:
@@ -91,9 +94,10 @@ def validate_orbit_params(q: int, m: int, u: int, b: int | None = None) -> None:
         return
     if not 0 <= _check_int(b, "translation b") < order:
         raise ValueError(f"b must lie in [0, {order}), got {b}")
-    if u == q and b == 0:
+    if u in (1, q) and (u == 1) != (b == 0):
         raise NoSuchOrderError(
-            f"u=q={q} needs a nonzero translation b; with b=0 the map is the identity"
+            f"u={u} over GF({q}^{m}) is realized by x -> x + b, which is the identity "
+            f"(order 1) iff b = 0 and has order q={q} otherwise; got b={b}"
         )
 
 
@@ -120,20 +124,23 @@ def build_support(
 ) -> list[int]:
     """Support of the (b, u) construction as one flat, ordered list.
 
-    The field is walked once.  For u == 1 the support is every non-root
-    of g.  For u > 1 it is the complete size-u orbits of sigma = (a, b)
-    avoiding the roots of g, ordered by minimal element, so each run of u
-    consecutive points is one orbit.  ``max_orbits`` keeps only the first
-    that many orbits (the single-orbit, cyclic case is max_orbits = 1).
+    (b, u) is checked by :func:`validate_orbit_params` before the walk:
+    x -> x + b has order 1 iff b == 0 and order q otherwise.  The field is
+    walked once.  For u == 1 (b == 0, the identity) the support is every
+    non-root of g.  For u > 1 it is the complete size-u orbits of
+    sigma = (a, b) avoiding the roots of g, ordered by minimal element, so
+    each run of u consecutive points is one orbit.  ``max_orbits`` keeps
+    only the first that many orbits (the single-orbit, cyclic case is
+    max_orbits = 1).
     """
-    field.check(b)
+    validate_orbit_params(field.q, field.m, u, b)
     if g.field != field:
         raise ValueError("g must be a polynomial over the support's field")
     if g.is_zero:
         raise ValueError("g must be nonzero")
     if max_orbits is not None:
         _check_int(max_orbits, "max_orbits", 1)
-    a = choose_multiplier(field, u)  # validates u, also for u == 1
+    a = choose_multiplier(field, u)
     if u == 1:
         support = [x for x in field.elements() if g(x) != 0]
     else:

@@ -20,9 +20,9 @@ import argparse
 import json
 import sys
 
-from .affine_support import build_support, support_orbits, validate_orbit_params
+from .affine_support import build_support, support_orbits
 from .errors import InternalConsistencyError
-from .galois import Field, _check_int, make_field
+from .galois import _check_int, make_field
 from .goppa import (
     DEFAULT_ENUMERATION_CAP,
     CodeSpec,
@@ -73,24 +73,13 @@ def _checked(build, *args, prefix: str = "", **kwargs):
         raise _UsageError(f"{prefix}{exc}") from None
 
 
-def _orbit_params(args, field: Field) -> tuple[int, int]:
-    """(b, u) of the requested support construction."""
-    if args.support == "all":
-        return 0, 1
-    if args.b is None or args.u is None:
-        raise _UsageError("--support orbit requires --b and --u")
-    _checked(validate_orbit_params, field.q, field.m, args.u, args.b)
-    return args.b, args.u
-
-
 def _build_spec(args) -> CodeSpec:
     field = _checked(make_field, args.q, args.m)
     g = _checked(Poly.from_string, field, args.g, prefix="bad --g: ")
     if getattr(args, "t", None) is not None and args.t != g.degree:
         raise _UsageError(f"--t {args.t} contradicts deg g = {g.degree}")
     eta = _checked(field.check, args.eta, prefix="bad --eta: ")
-    b, u = _orbit_params(args, field)
-    support = _checked(build_support, field, b, u, g, args.orbits)
+    support = _checked(build_support, field, args.b, args.u, g, args.orbits)
     return _checked(CodeSpec, field, support, g, eta)
 
 
@@ -106,8 +95,7 @@ def _cmd_field(args) -> int:
 def _cmd_support(args) -> int:
     field = _checked(make_field, args.q, args.m)
     g = _checked(Poly.from_string, field, args.g, prefix="bad --g: ")
-    b, u = _orbit_params(args, field)
-    orbits = _checked(support_orbits, field, b, u, g, args.orbits)
+    orbits = _checked(support_orbits, field, args.b, args.u, g, args.orbits)
     print(_json_line({"orbits": orbits}))
     return EXIT_OK
 
@@ -248,12 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--g", required=True,
         help="Goppa polynomial, ascending comma-separated encodings (e.g. 2,1,1)",
     )
-    code_common.add_argument(
-        "--support", choices=("all", "orbit"), default="all",
-        help="support construction: whole field minus roots of g, or orbit union",
-    )
-    code_common.add_argument("--b", type=int, help="translation element encoding (orbit mode)")
-    code_common.add_argument("--u", type=int, help="affine map order (orbit mode)")
+    code_common.add_argument("--b", type=int, default=0, help="translation encoding (default 0)")
+    code_common.add_argument("--u", type=int, default=1,
+                             help="affine map order (default 1: the identity, whole field)")
     code_common.add_argument(
         "--orbits", type=int, help="keep only the first N orbits of the support"
     )

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from tgoppa import (
     AffineMap,
     EmptySupportError,
     NoSuchOrderError,
+    ParamSet,
     Poly,
     build_support,
     choose_multiplier,
@@ -133,6 +135,32 @@ def test_validate_orbit_params():
     # choose_multiplier runs the same u check and gives the same message
     with pytest.raises(NoSuchOrderError, match="does not divide q\\^m - 1 = 3"):
         choose_multiplier(F4, 5)
+    # u in {1, q} is admitted exactly when x -> x + b has order u
+    for field in (F4, F9):
+        for u in (1, field.q):
+            for b in field.elements():
+                if AffineMap(field, 1, b).order() == u:
+                    validate_orbit_params(field.q, field.m, u, b)
+                else:
+                    with pytest.raises(NoSuchOrderError, match="identity"):
+                        validate_orbit_params(field.q, field.m, u, b)
+
+
+@pytest.mark.parametrize("q, m, u, b", [(2, 4, 1, 5), (2, 4, 2, 0)])
+def test_translation_order_rule_is_one_path(q, m, u, b):
+    """x -> x + b has order 1 iff b = 0: every entry point rejects the same (b, u) alike."""
+    with pytest.raises(NoSuchOrderError) as ref:
+        validate_orbit_params(q, m, u, b)
+    field = make_field(q, m)
+    g = Poly(field, (1, 1, 0, 1))  # root-free over GF(16): the walk would succeed
+    for build in (
+        lambda: ParamSet(q, m, 3, b, u),
+        lambda: build_support(field, b, u, g),
+        lambda: support_orbits(field, b, u, g),
+    ):
+        with pytest.raises(NoSuchOrderError) as exc:
+            build()
+        assert str(exc.value) == str(ref.value)
 
 
 def test_choose_multiplier_smallest_scan_oracle():
@@ -163,6 +191,8 @@ def test_support_properties():
             b = rng.randrange(field.order)
             if u == field.q and b == 0:
                 continue  # identity map, no size-u orbit
+            if u == 1 and b != 0:
+                continue  # x -> x + b has order q, not 1
             t = rng.randrange(2, 5)
             coeffs = [rng.randrange(field.order) for _ in range(t)]
             coeffs.append(rng.randrange(1, field.order))
@@ -208,8 +238,8 @@ def test_empty_support():
     with pytest.raises(EmptySupportError):
         # sigma = 2x over GF(4): single candidate orbit {1,2,3} hits g's root 2
         build_support(F4, 0, 3, Poly(F4, (2, 1)))
-    with pytest.raises(EmptySupportError):
-        # u = q with b = 0 degenerates to the identity: no orbit has size 2
+    with pytest.raises(NoSuchOrderError, match="identity"):
+        # u = q with b = 0 names the identity, which has order 1, not 2
         build_support(F4, 0, 2, G4)
 
 
@@ -223,3 +253,45 @@ def test_max_orbits_filter():
     assert build_support(F4, 0, 1, G4, max_orbits=2) == [0, 1]
     with pytest.raises(ValueError):
         support_orbits(F4, 1, 2, G4, max_orbits=0)
+
+
+def _monic_root_free(field, t):
+    """Every monic degree-t polynomial with no root in the field."""
+    for low in itertools.product(range(field.order), repeat=t):
+        g = Poly(field, low + (1,))
+        if all(g(x) != 0 for x in field.elements()):
+            yield g
+
+
+def _admitted_orbit_params(field):
+    """Every (b, u) whose map a*x + b has order u over the field."""
+    orders = [1, field.q] + [u for u in range(2, field.order) if (field.order - 1) % u == 0]
+    for u in orders:
+        for b in field.elements():
+            if AffineMap(field, choose_multiplier(field, u), b).order() == u:
+                yield b, u
+
+
+def test_support_is_the_whole_field_or_misses_the_fixed_point():
+    """Fact 1: for root-free g the support is GF(q^m), or GF(q^m) minus c = b/(1 - a).
+
+    No orbit touches a root, so every complete orbit is kept.  A translation
+    (u in {1, q}) has orbits of size exactly u; sigma = a*x + b with a != 1
+    fixes only c, and every other orbit has size exactly u = ord(a).
+    """
+    cases = 0
+    for field, degrees in ((F8, (2, 3)), (F9, (2, 3)), (F16, (2,))):
+        whole = list(field.elements())
+        params = list(_admitted_orbit_params(field))
+        for t in degrees:
+            for g in _monic_root_free(field, t):
+                for b, u in params:
+                    support = sorted(build_support(field, b, u, g))
+                    if u in (1, field.q):
+                        assert support == whole, (field, g, b, u)
+                    else:
+                        a = choose_multiplier(field, u)
+                        c = field.div(b, field.sub(1, a))
+                        assert support == [x for x in whole if x != c], (field, g, b, u)
+                    cases += 1
+    assert cases == 20_752

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +10,7 @@ from tgoppa.cli import main
 from conftest import sampler_failing_at_degree
 
 DIM_ARGS = ["dim", "--q", "2", "--m", "2", "--t", "2", "--g", "2,1,1",
-            "--eta", "1", "--support", "all"]
+            "--eta", "1"]
 
 
 def run(capsys, argv):
@@ -48,17 +50,40 @@ def test_usage_error_on_t_mismatch(capsys):
     assert exc.value.code == 2
 
 
-def test_usage_error_orbit_without_b_u(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["dim", "--q", "2", "--m", "2", "--g", "2,1,1", "--eta", "1",
-              "--support", "orbit"])
-    assert exc.value.code == 2
+def test_usage_error_translation_order_rule(capsys, tmp_path, monkeypatch):
+    """x -> x + b has order 1 iff b = 0; --b and --u default to 0 and 1."""
+    def random_root_free_poly(field, t, rng):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(experiment, "random_root_free_poly", random_root_free_poly)
+    for argv in (
+        ["dim", "--q", "2", "--m", "4", "--g", "1,1,0,1", "--eta", "3", "--b", "5"],  # alone
+        ["support", "--q", "2", "--m", "4", "--g", "1,1,0,1", "--u", "2"],
+        ["determinism", "--q", "2", "--m", "4", "--t", "3", "--b", "5", "--u", "1",
+         "--trials", "2", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "identity" in capsys.readouterr().err, argv
+    monkeypatch.undo()
+    grid = _write_grid(tmp_path, [
+        {"q": 2, "m": 4, "t": 3, "b": 5, "u": 1},   # x -> x + 5 has order 2
+        {"q": 2, "m": 3, "t": 2, "b": 1, "u": 2},
+    ], trials=2)
+    code, out, err = run(capsys, ["sweep", "--grid", grid, "--format", "json"])
+    doc = json.loads(out)
+    rejected = [r for r in doc["reports"] if r["error"]]
+    assert [r["params"] for r in rejected] == [{"q": 2, "m": 4, "t": 3, "b": 5, "u": 1}]
+    assert "identity" in rejected[0]["error"]
+    assert len(doc["records"]) == 2
+    assert "grid entry 0 rejected" in err
+    assert code in (1, 3)
 
 
 def test_usage_error_bad_u(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["support", "--q", "2", "--m", "2", "--g", "2,1,1",
-              "--support", "orbit", "--b", "0", "--u", "5"])
+        main(["support", "--q", "2", "--m", "2", "--g", "2,1,1", "--b", "0", "--u", "5"])
     assert exc.value.code == 2
 
 
@@ -66,7 +91,7 @@ def test_usage_error_u_equals_q_with_zero_translation(capsys):
     # x -> x + 0 is the identity, so no orbit has size q
     with pytest.raises(SystemExit) as exc:
         main(["dim", "--q", "2", "--m", "2", "--g", "2,1,1", "--eta", "1",
-              "--support", "orbit", "--b", "0", "--u", "2"])
+              "--b", "0", "--u", "2"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["determinism", "--q", "3", "--m", "5", "--t", "3", "--b", "0",
@@ -89,11 +114,9 @@ def test_usage_errors_before_any_computation(capsys, monkeypatch):
         ["dim", "--q", "2", "--m", "2", "--g", "2,1,1", "--eta", "7"],
         ["dim", "--q", "2", "--m", "2", "--g", "2,1,1", "--eta", "1", "--orbits", "0"],
         ["dim", "--q", "2", "--m", "2", "--g", "1", "--eta", "1"],
-        ["support", "--q", "2", "--m", "2", "--g", "2,1,1", "--support", "orbit",
-         "--b", "9", "--u", "2"],
+        ["support", "--q", "2", "--m", "2", "--g", "2,1,1", "--b", "9", "--u", "2"],
         ["support", "--q", "2", "--m", "2", "--g", "0"],
-        ["support", "--q", "2", "--m", "2", "--g", "2,1", "--support", "orbit",
-         "--b", "0", "--u", "3"],
+        ["support", "--q", "2", "--m", "2", "--g", "2,1", "--b", "0", "--u", "3"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -108,7 +131,7 @@ def test_unknown_command(capsys):
 
 def test_support_orbit_grouping(capsys):
     code, out, _ = run(capsys, ["support", "--q", "2", "--m", "2", "--g", "2,1,1",
-                                "--support", "orbit", "--b", "1", "--u", "2"])
+                                "--b", "1", "--u", "2"])
     assert code == 0
     assert out == '{"orbits":[[0,1],[2,3]]}\n'
 
@@ -121,16 +144,14 @@ def test_support_all_lists_singletons(capsys):
 
 def test_support_orbits_filter(capsys):
     code, out, _ = run(capsys, ["support", "--q", "2", "--m", "2", "--g", "2,1,1",
-                                "--support", "orbit", "--b", "1", "--u", "2",
-                                "--orbits", "1"])
+                                "--b", "1", "--u", "2", "--orbits", "1"])
     assert code == 0
     assert out == '{"orbits":[[0,1]]}\n'
 
 
 def test_dim_orbit_support(capsys):
     code, out, _ = run(capsys, ["dim", "--q", "2", "--m", "2", "--g", "2,1,1",
-                                "--eta", "1", "--support", "orbit",
-                                "--b", "1", "--u", "2"])
+                                "--eta", "1", "--b", "1", "--u", "2"])
     assert code == 0
     assert json.loads(out) == {"n": 4, "mt": 4, "rank": 2, "k": 2}
 
@@ -146,8 +167,7 @@ def test_dim_out_file(capsys, tmp_path):
 
 
 def test_member_true_and_false(capsys):
-    base = ["member", "--q", "2", "--m", "2", "--g", "2,1,1", "--eta", "1",
-            "--support", "all"]
+    base = ["member", "--q", "2", "--m", "2", "--g", "2,1,1", "--eta", "1"]
     code, out, _ = run(capsys, base + ["--word", "1,1,0,0"])
     assert code == 0
     assert json.loads(out) == {"n": 4, "is_codeword": True}
@@ -165,7 +185,7 @@ def test_member_wrong_length_is_operational_error(capsys):
 
 def test_oracle_dim_agreement(capsys):
     code, out, _ = run(capsys, ["oracle-dim", "--q", "2", "--m", "2", "--g", "2,1,1",
-                                "--eta", "1", "--support", "all"])
+                                "--eta", "1"])
     assert code == 0
     doc = json.loads(out)
     assert doc == {"n": 4, "k_rank": 2, "k_bruteforce": 2, "match": True}
@@ -173,7 +193,7 @@ def test_oracle_dim_agreement(capsys):
 
 def test_oracle_dim_cap_exceeded(capsys):
     code, _, err = run(capsys, ["oracle-dim", "--q", "2", "--m", "4", "--g", "2,1,1",
-                                "--eta", "1", "--support", "all", "--cap", "64"])
+                                "--eta", "1", "--cap", "64"])
     assert code == 1
     assert "cap" in err
 
@@ -186,7 +206,7 @@ def test_oracle_dim_rejects_bad_cap_before_computing(capsys, monkeypatch, cap):
     monkeypatch.setattr(cli, "dimension", fail)
     with pytest.raises(SystemExit) as exc:
         main(["oracle-dim", "--q", "2", "--m", "2", "--g", "2,1,1", "--eta", "1",
-              "--support", "all", "--cap", cap])
+              "--cap", cap])
     assert exc.value.code == 2
     assert "enumeration cap" in capsys.readouterr().err
 
@@ -353,3 +373,39 @@ def test_sweep_seed_flag_overrides_file(capsys, tmp_path):
     _, out_file_seed, _ = run(capsys, ["sweep", "--grid", grid])
     _, out_override, _ = run(capsys, ["sweep", "--grid", grid, "--seed", "10"])
     assert out_file_seed != out_override
+
+
+def test_allow_zero_eta_reaches_the_sampler(capsys, tmp_path, monkeypatch):
+    calls = []
+    sample = experiment.random_eta
+
+    def random_eta(field, rng, allow_zero=False):
+        calls.append(allow_zero)
+        return sample(field, rng, allow_zero)
+
+    monkeypatch.setattr(experiment, "random_eta", random_eta)
+    run(capsys, ["determinism", "--q", "2", "--m", "3", "--t", "2", "--b", "1", "--u", "2",
+                 "--trials", "3", "--seed", "1", "--allow-zero-eta"])
+    grid = _write_grid(tmp_path, [{"q": 2, "m": 3, "t": 2, "b": 1, "u": 2}], trials=2)
+    run(capsys, ["sweep", "--grid", grid, "--allow-zero-eta"])
+    assert calls == [True] * 5
+    calls.clear()
+    run(capsys, ["sweep", "--grid", grid])
+    assert calls == [False] * 2
+
+
+def _readme_examples():
+    """(argv, stdout) of every README CLI example whose output is shown in full."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    for line, shown in zip(lines, lines[1:]):
+        if line.startswith("tgoppa ") and shown.startswith("  ") and "..." not in shown:
+            yield shlex.split(line)[1:], shown.strip() + "\n"
+
+
+def test_readme_cli_examples_print_what_the_readme_shows(capsys):
+    examples = list(_readme_examples())
+    assert {argv[0] for argv, _ in examples} == {"field", "support", "dim", "member",
+                                              "oracle-dim"}
+    for argv, expected in examples:
+        code, out, _ = run(capsys, argv)
+        assert (code, out) == (0, expected), argv

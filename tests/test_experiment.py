@@ -218,6 +218,17 @@ def test_run_trial_replay_determinism():
     assert max(0, r1.n - 12) <= r1.k <= r1.n
 
 
+def test_allow_zero_eta_trial_is_the_classical_code():
+    params = ParamSet(2, 3, 2, 1, 2)
+    trials = (run_trial(params, s, allow_zero_eta=True) for s in range(1000))
+    record = next(r for r in trials if r.eta == 0)
+    field = make_field(2, 3)
+    g = Poly.from_string(field, record.g)
+    classical = CodeSpec(field, build_support(field, params.b, params.u, g), g, 0)
+    assert record.k == brute_force_dimension(classical)
+    assert run_trial(params, record.seed).eta != 0  # the default sampler skips eta = 0
+
+
 def test_trial_seed_must_be_nonnegative(monkeypatch):
     """random.Random seeds from |seed|, so run_trial(P, -5) would replay seed 5."""
     params = ParamSet(2, 4, 3, 10, 3)

@@ -131,6 +131,12 @@ def test_rows_and_residues_match_twist_residue(spec):
     for j, row in enumerate(rows):
         assert tuple(row) == tuple(col[j] for col in oracle)
     assert spec.residues() == oracle
+    # independent closed form: (x - alpha)^-1 without Euclid, minus the twist constant
+    F, g, t = spec.field, spec.g, spec.t
+    for i, alpha in enumerate(spec.support):
+        twist = F.mul(spec.eta, F.div(F.pow(alpha, t), g(alpha)))
+        closed = inverse_linear_residue(alpha, g) - Poly.constant(F, twist)
+        assert tuple(row[i] for row in rows) == closed.padded(t)
 
 
 @settings(max_examples=60, deadline=None)
