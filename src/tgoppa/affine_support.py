@@ -25,6 +25,7 @@ orbits, runs of u consecutive points.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import EmptySupportError, NoSuchOrderError, InternalConsistencyError
@@ -101,12 +102,17 @@ def validate_orbit_params(q: int, m: int, u: int, b: int | None = None) -> None:
         )
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def choose_multiplier(field: Field, u: int) -> int:
     """Deterministic multiplier realizing an affine map of order u.
 
     u == 1 and u == q both return 1 (order q then comes from a nonzero
     translation).  Otherwise u must divide q^m - 1 and the smallest
-    encoding of multiplicative order u is returned.
+    encoding of multiplicative order u is returned.  The scan runs once
+    per (field, u): a trial asks here for its record's multiplier and
+    again inside :func:`build_support`.  The cache is typed, so u=True
+    is validated (and rejected), never served the entry of u=1; a
+    rejected u raises and is not cached.
     """
     validate_orbit_params(field.q, field.m, u)
     if u == 1 or u == field.q:

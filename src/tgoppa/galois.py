@@ -13,6 +13,13 @@ their non-leading coefficients, the first irreducible one wins.  Every
 run of the library therefore agrees on every element encoding, which
 keeps downstream output reproducible bit for bit.
 
+Fields of up to ``2**16`` elements with m > 1 keep exp/log tables of
+the smallest multiplicative generator g (odd q also a Zech table).  The
+tables are the orbit of 1 under v -> g*v, a GF(q)-linear map, so the
+build multiplies only the two halves of v's digits by g, once each, and
+adds the two products per element; :meth:`Field._mul_raw` stays the
+independent schoolbook oracle.
+
 Fields are small by design: the size cap is the fixed constant
 ``DEFAULT_SIZE_CAP = 2**20`` elements, so that irreducibility checks, root
 scans and orbit walks can all be exhaustive.  :func:`validate_field_params`
@@ -296,19 +303,67 @@ class Field:
         return acc
 
     def _build_tables(self):
-        span = self.order - 1
+        """exp (stored twice) and log of the smallest generator g, from split products.
+
+        v -> g*v is GF(q)-linear in v's digits, so with v = lo + q^h*hi
+        (h = ceil(m/2)), g*v = g*lo + g*(q^h*hi): one product table for
+        each half, q^h + q^(m-h) :meth:`_mul_raw` calls in all, and exp
+        is the orbit of 1 under that map.  The walk keeps v in lane form,
+        digit k in bits [k*w, k*w + w), and the tables are indexed by the
+        lane form of a half: sparse lists of 2^(h*w) and 2^((m-h)*w) slots.
+        For q = 2, w = 1, so the lane form is the encoding and the sum is
+        XOR.  For odd q, q <= 2^(w-1): the sum of two products is one int
+        add with every lane below 2q - 1, and the lanes that reached q
+        (their top bit set after adding 2^(w-1) - q) lose q at once; the
+        encoding tables turn the two halves back into an encoding.
+        """
+        q, m, span = self.q, self.m, self.order - 1
         gen = next((c for c in range(2, self.order) if self.mult_order(c) == span), None)
         if gen is None:
             raise InternalConsistencyError(f"no multiplicative generator in {self!r}")
+        h = (m + 1) >> 1
+        low = q**h
+        w = 1 if q == 2 else q.bit_length() + 1
+
+        def lanes(v: int) -> int:
+            out = shift = 0
+            while v:
+                v, d = divmod(v, q)
+                out |= d << shift
+                shift += w
+            return out
+
+        shift = h * w
+        mul_low = [0] * (1 << shift)
+        mul_high = [0] * (1 << (m - h) * w)
+        enc_low = [0] * len(mul_low)
+        enc_high = [0] * len(mul_high)
+        for v in range(low):
+            mul_low[lanes(v)] = lanes(self._mul_raw(gen, v))
+            enc_low[lanes(v)] = v
+        for v in range(q ** (m - h)):
+            mul_high[lanes(v)] = lanes(self._mul_raw(gen, v * low))
+            enc_high[lanes(v)] = v * low
         exp = [0] * (2 * span)
         log = [0] * self.order
+        mask = (1 << shift) - 1
         val = 1
-        for i in range(span):
-            exp[i] = val
-            log[val] = i
-            val = self._mul_raw(val, gen)
-        for i in range(span, 2 * span):
-            exp[i] = exp[i - span]
+        if q == 2:
+            for i in range(span):
+                exp[i] = val
+                log[val] = i
+                val = mul_low[val & mask] ^ mul_high[val >> shift]
+        else:
+            ones = sum(1 << k * w for k in range(m))
+            bias, top = ((1 << w - 1) - q) * ones, w - 1
+            for i in range(span):
+                lo, hi = val & mask, val >> shift
+                e = enc_low[lo] + enc_high[hi]
+                exp[i] = e
+                log[e] = i
+                val = mul_low[lo] + mul_high[hi]
+                val -= q * ((val + bias) >> top & ones)
+        exp[span:] = exp[:span]
         return exp, log
 
     def _build_zech(self) -> list[int]:

@@ -22,8 +22,9 @@ rows are the only cached residue form: the per-column view
 Dimension is computed over GF(q): the t x n matrix of residue
 coefficients over GF(q^m) is expanded digit-wise into an mt x n matrix
 over GF(q) (polynomial-basis coordinates) and eliminated exactly, so
-k = n - rank.  For q = 2 the expanded rows are packed into bitmasks
-straight from the residue rows, without the digit tuples.
+k = n - rank.  The rank reads the residue rows directly, without the
+digit tuples: bitmasks for q = 2, one byte per digit for odd q.  The
+tuples (``ParityMatrix.base_rows``) serve only the nullspace and JSON.
 ``brute_force_dimension`` recomputes k by enumerating all q^n words
 against the defining congruence and is deliberately independent of the
 elimination path.
@@ -154,11 +155,7 @@ class ParityMatrix:
 
     @functools.cached_property
     def base_rows(self) -> tuple[tuple[int, ...], ...]:
-        q = self.q
-        scales = [q**l for l in range(self.m)]
-        return tuple(
-            tuple(a // s % q for a in row) for row in self.ext_rows for s in scales
-        )
+        return tuple(map(tuple, _digit_rows(self)))
 
 
 def twist_residue(spec: CodeSpec, index: int) -> Poly:
@@ -167,16 +164,58 @@ def twist_residue(spec: CodeSpec, index: int) -> Poly:
     if not 0 <= index < spec.n:
         raise IndexError(f"column index {index} out of range [0, {spec.n})")
     F = spec.field
-    alpha = spec.support[index]
-    base = modinv(Poly.linear(F, alpha), spec.g)
+    alpha = spec.support[index]  # validated by CodeSpec, so no Field.check below
+    base = modinv(Poly._computed(F, [F.neg(alpha), 1]), spec.g)
     if spec.eta == 0 or alpha == 0:
         return base
     twist = F.mul(spec.eta, F.mul(F.pow(alpha, spec.t), F.inv(spec.g(alpha))))
-    return Poly(F, (F.sub(base.coeffs[0], twist),) + base.coeffs[1:])
+    return Poly._computed(F, [F.sub(base.coeffs[0], twist), *base.coeffs[1:]])
 
 
 def parity_matrix(spec: CodeSpec) -> ParityMatrix:
     return ParityMatrix(spec.field.q, spec.field.m, spec.t, spec.n, spec.rows())
+
+
+def _little_endian(row) -> memoryview:
+    """The bytes of a compact row with every cell little-endian.
+
+    A big-endian host reads a byteswapped copy of the row.
+    """
+    if sys.byteorder == "big":
+        row = array(row.format, row)
+        row.byteswap()
+    return memoryview(row).cast("B")
+
+
+def _digit_rows(pm: ParityMatrix):
+    """The rows of ``base_rows`` in order, each computed straight from its ext row.
+
+    For q < 256 a row is bytes, one digit per byte.  The cells of an ext
+    row are spread into one int, one per 64-bit lane, and each digit comes
+    from dividing every lane by q at once: a // q is a * r >> 40 with
+    r = 2^40 // q + 1, exact for a < 2^20 (the size cap) since the error
+    a * (r * q - 2^40) stays below 2^40.  The products stay below 2^60,
+    and a 24-bit mask per lane drops the bits the shift brings down from
+    the next lane.  Larger q (then m <= 2) give tuples, digit by digit.
+    """
+    q, n = pm.q, pm.n
+    if q >= 256:
+        for row in pm.ext_rows:
+            for l in range(pm.m):
+                yield tuple(a // q**l % q for a in row)
+        return
+    recip = (1 << 40) // q + 1
+    mask = int.from_bytes(b"\xff\xff\xff\0\0\0\0\0" * n, "little")
+    for row in pm.ext_rows:
+        size, cells = row.itemsize, _little_endian(row)
+        spread = bytearray(8 * n)
+        for b in range(size):
+            spread[b::8] = cells[b::size]
+        x = int.from_bytes(spread, "little")
+        for _ in range(pm.m):
+            quotient = x * recip >> 40 & mask
+            yield (x - q * quotient).to_bytes(8 * n, "little")[::8]
+            x = quotient
 
 
 def _packed_gf2_rows(pm: ParityMatrix):
@@ -185,16 +224,12 @@ def _packed_gf2_rows(pm: ParityMatrix):
     Each compact ext row of w-bit cells is read as one little-endian int
     and formatted once as w*n bits, most significant first.  The columns
     then run from n - 1 down to 0, so bit l of every cell is the stride-w
-    slice starting at w - 1 - l.  A big-endian host reads a byteswapped
-    copy of the row, so that the cells are little-endian there too.
+    slice starting at w - 1 - l.
     """
     n = pm.n
     for row in pm.ext_rows:
         w = 8 * row.itemsize
-        if sys.byteorder == "big":
-            row = array(row.format, row)
-            row.byteswap()
-        bits = format(int.from_bytes(row, "little"), f"0{w * n}b")
+        bits = format(int.from_bytes(_little_endian(row), "little"), f"0{w * n}b")
         for l in range(pm.m):
             yield int(bits[w - 1 - l :: w] or "0", 2)
 
@@ -203,7 +238,7 @@ def rank(pm: ParityMatrix) -> int:
     """Exact GF(q) rank of the expanded parity matrix."""
     if pm.q == 2:
         return rank_gf2(_packed_gf2_rows(pm))
-    return rank_modp(pm.base_rows, pm.q)
+    return rank_modp(_digit_rows(pm), pm.q)
 
 
 def dimension(spec: CodeSpec) -> int:

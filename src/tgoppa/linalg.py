@@ -10,7 +10,7 @@ wherever they overlap; the test suite checks this.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 
 def pack_gf2_row(row) -> int:
@@ -32,7 +32,7 @@ def rank_gf2(rows) -> int:
     return len(pivots)
 
 
-def rref_modp(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
+def rref_modp(rows: Iterable[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form mod p, on a copy; returns (matrix, pivot columns)."""
     mat = [[x % p for x in row] for row in rows]
     nrows = len(mat)
@@ -57,7 +57,7 @@ def rref_modp(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], l
     return mat, pivots
 
 
-def rank_modp(rows: Sequence[Sequence[int]], p: int) -> int:
+def rank_modp(rows: Iterable[Sequence[int]], p: int) -> int:
     """Rank mod p of a matrix of integers (any sign or size).
 
     For p(p - 1) < 256 (p <= 13) each row is one int with column j in
@@ -65,8 +65,10 @@ def rank_modp(rows: Sequence[Sequence[int]], p: int) -> int:
     pivot row adds (p - c) * pivot: every byte stays below
     (p - 1) + (p - 1)^2 < 256, so no lane carries into the next, and one
     translate maps the bytes back to residues.  The pivot of a row is its
-    first nonzero byte, kept in a dict as in :func:`rank_gf2`.  Larger p
-    take the rank of :func:`rref_modp`, which is also the oracle.
+    first nonzero byte, kept in a dict as in :func:`rank_gf2`.  A row that
+    is ``bytes`` is already one value per byte and is reduced by one
+    translate.  Larger p take the rank of :func:`rref_modp`, which is also
+    the oracle.
     """
     if p * (p - 1) >= 256:
         return len(rref_modp(rows, p)[1])
@@ -79,7 +81,8 @@ def rank_modp(rows: Sequence[Sequence[int]], p: int) -> int:
 
     pivots: dict[int, int] = {}
     for row in rows:
-        v = int.from_bytes(bytes(map(p.__rmod__, row)), "little")
+        lanes = row.translate(residue) if type(row) is bytes else bytes(map(p.__rmod__, row))
+        v = int.from_bytes(lanes, "little")
         while v:
             col = ((v & -v).bit_length() - 1) >> 3
             c = v >> (col << 3) & 0xFF

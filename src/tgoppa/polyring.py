@@ -38,8 +38,9 @@ class Poly:
 
     @classmethod
     def _computed(cls, field: Field, cs: list[int]) -> "Poly":
-        """A ring op's result: its coefficients came from field operations on
-        elements, so they skip :meth:`Field.check`; only trailing zeros go."""
+        """A polynomial whose coefficients are already elements: the result of a
+        ring op, a constant such as 1, or values from a validated spec.  They
+        skip :meth:`Field.check`; only trailing zeros go."""
         poly = object.__new__(cls)
         poly._set(field, cs)
         return poly
@@ -202,7 +203,7 @@ def xgcd(f: Poly, h: Poly) -> tuple[Poly, Poly]:
     if f.is_zero and h.is_zero:
         raise ValueError("xgcd(0, 0) is undefined")
     r0, r1 = f, h
-    s0, s1 = Poly.one(F), Poly.zero(F)
+    s0, s1 = Poly._computed(F, [1]), Poly._computed(F, [])
     while not r1.is_zero:
         q, r = divmod(r0, r1)
         r0, r1 = r1, r

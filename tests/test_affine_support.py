@@ -12,6 +12,7 @@ from tgoppa import (
     build_support,
     choose_multiplier,
     make_field,
+    run_trial,
     support_orbits,
     validate_orbit_params,
 )
@@ -117,6 +118,24 @@ def test_choose_multiplier():
         choose_multiplier(F4, 5)
     with pytest.raises(ValueError):
         choose_multiplier(F4, 0)
+
+
+def test_choose_multiplier_scans_once_per_trial():
+    # run_trial asks for the record's multiplier and build_support asks
+    # again; the typed cache runs the scan once per (field, u).
+    choose_multiplier.cache_clear()
+    params = ParamSet(3, 6, 4, 1, 7)
+    run_trial(params, 5)
+    assert choose_multiplier.cache_info()[:2] == (1, 1)  # hits, misses: one scan
+    run_trial(params, 6)
+    assert choose_multiplier.cache_info()[:2] == (3, 1)
+    F729 = make_field(3, 6)
+    assert choose_multiplier(F729, 7) == run_trial(params, 5).a
+    assert choose_multiplier(F4, 1) == 1
+    with pytest.raises(ValueError, match="order u must be an int"):
+        choose_multiplier(F4, True)  # typed: not served the cached u=1
+    with pytest.raises(ValueError):
+        choose_multiplier(F4, 1.0)
 
 
 def test_validate_orbit_params():

@@ -266,3 +266,100 @@ def test_field_equality_and_cache():
     with pytest.raises(NotPrimeError):
         make_field(2.0, 4)  # equal to a cached key, but not an int
     assert Field(2, 4, (1, 1, 0, 0, 1)) == F16
+
+
+
+def _raw_generator(F):
+    """The smallest encoding c >= 2 of multiplicative order q^m - 1, by raw powers."""
+    span = F.order - 1
+    primes = [r for r in galois._divisors(span) if is_prime(r)]
+    return next(
+        c for c in range(2, F.order) if all(F._pow_raw(c, span // r) != 1 for r in primes)
+    )
+
+
+def _raw_orbit_tables(F):
+    """Reference exp, log and Zech lists of F: one _mul_raw step per element."""
+    span = F.order - 1
+    gen = _raw_generator(F)
+    exp = [1]
+    for _ in range(span - 1):
+        exp.append(F._mul_raw(exp[-1], gen))
+    log = [0] * F.order
+    for i, e in enumerate(exp):
+        log[e] = i
+    zech = None
+    if F.q != 2:
+        zech = [-1 if s == 0 else log[s] for s in (F._digitwise(1, e, 1) for e in exp)]
+        zech += zech
+    return exp + exp, log, zech
+
+
+SMALL_TABLE_FIELDS = [
+    (q, m)
+    for q in range(2, 64)
+    if is_prime(q)
+    for m in range(2, 13)
+    if q**m <= 1 << 12
+]
+
+
+def test_tables_equal_raw_multiply_orbit_exhaustively():
+    assert len(SMALL_TABLE_FIELDS) == 40 and (61, 2) in SMALL_TABLE_FIELDS
+    for q, m in SMALL_TABLE_FIELDS:
+        F = make_field(q, m)
+        assert (F._exp, F._log, F._zech) == _raw_orbit_tables(F), F
+
+
+@pytest.mark.parametrize("qm", [(2, 16), (3, 10), (13, 4), (251, 2), (2, 14)])
+def test_tables_match_raw_powers_on_large_fields(qm):
+    F = make_field(*qm)
+    span = F.order - 1
+    gen = F._exp[1]
+    assert gen == _raw_generator(F)
+    assert len(F._exp) == 2 * span and F._exp[span:] == F._exp[:span]
+    assert F._mul_raw(F._exp[span - 1], gen) == 1  # the orbit closes at 1
+    rng = random.Random(F.order)
+    for i in [0, 1, span >> 1, span - 1] + rng.sample(range(span), 40):
+        e = F._exp[i]
+        assert e == F._pow_raw(gen, i) and F._log[e] == i
+        assert F._exp[i + 1] == F._mul_raw(e, gen)
+        if F.q != 2:
+            s = F._digitwise(1, e, 1)
+            assert F._zech[i] == F._zech[i + span] == (-1 if s == 0 else F._log[s])
+
+
+def test_generators_other_than_x():
+    # x is not primitive in GF(5^4) or GF(2^14), so the walk multiplies by
+    # x + 1 and x^2 + x + 1; both fields are also in the tests above.
+    for (q, m), gen in (((5, 4), 6), ((2, 14), 7)):
+        F = make_field(q, m)
+        assert F._exp[1] == gen == _raw_generator(F)
+        assert F.mult_order(q) < F.order - 1  # the encoding of x
+
+
+@pytest.mark.parametrize("qm", [(3, 6), (2, 14)])
+def test_table_build_multiplies_half_tables_not_every_element(monkeypatch, qm):
+    q, m = qm
+    calls = {"all": 0, "search": 0}
+    in_search = []
+    mul_raw, mult_order = galois.Field._mul_raw, galois.Field.mult_order
+
+    def counting_mul_raw(self, a, b):
+        calls["all"] += 1
+        calls["search"] += bool(in_search)
+        return mul_raw(self, a, b)
+
+    def counting_mult_order(self, a):
+        in_search.append(a)
+        try:
+            return mult_order(self, a)
+        finally:
+            in_search.pop()
+
+    monkeypatch.setattr(galois.Field, "_mul_raw", counting_mul_raw)
+    monkeypatch.setattr(galois.Field, "mult_order", counting_mult_order)
+    F = Field(q, m)
+    h = (m + 1) // 2
+    assert calls["all"] - calls["search"] == q**h + q ** (m - h)  # the two product tables
+    assert calls["all"] < F.order // 3  # generator search included

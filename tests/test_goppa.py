@@ -30,7 +30,7 @@ from tgoppa import (
     twist_residue,
 )
 from tgoppa import goppa
-from tgoppa.goppa import ParityMatrix, _exact_power_log, _packed_gf2_rows
+from tgoppa.goppa import ParityMatrix, _digit_rows, _exact_power_log, _packed_gf2_rows
 from tgoppa.linalg import pack_gf2_row, rank_gf2, rank_modp, rref_modp
 
 from conftest import random_code_spec, random_poly_nonvanishing
@@ -422,6 +422,61 @@ def test_base_rows_equal_eager_digit_expansion(qm, seed):
         for l in range(pm.m)
     )
     assert pm.base_rows == eager
+
+
+def _eager_digit_rows(pm):
+    F = make_field(pm.q, pm.m)
+    return [[F.expand(a)[l] for a in row] for row in pm.ext_rows for l in range(pm.m)]
+
+
+@st.composite
+def odd_q_specs(draw):
+    """Random CodeSpecs over odd-q fields: byte-lane primes 3..13 and p = 17 beyond."""
+    F = make_field(*draw(st.sampled_from([(3, 2), (3, 4), (5, 2), (7, 2), (13, 2), (17, 2)])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_code_spec(rng, (F,), max_n=draw(st.integers(1, F.order)), t_choices=(1, 2, 3, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(odd_q_specs())
+def test_odd_q_rank_from_ext_rows_matches_rref(spec):
+    pm = parity_matrix(spec)
+    assert rank(pm) == len(rref_modp(_eager_digit_rows(pm), pm.q)[1])
+    assert "base_rows" not in vars(pm)  # rank read the ext rows only
+
+
+def test_digit_rows_on_either_byte_order(monkeypatch):
+    rng = random.Random(13)
+    F3_12 = make_field(3, 12)
+    top = (0, 1, 100000, F3_12.order - 1)
+    specs = [
+        random_code_spec(rng, (F9,), max_n=9),  # 1-byte rows
+        random_code_spec(rng, (make_field(3, 6),), max_n=60),  # 2-byte rows
+        CodeSpec(F3_12, top, random_poly_nonvanishing(rng, F3_12, 2, top), 3),  # 4-byte rows
+        random_code_spec(rng, (make_field(257, 1),), max_n=30),  # digits past a byte
+    ]
+    expected, itemsizes = [], []
+    for spec in specs:
+        pm = parity_matrix(spec)
+        itemsizes.append(pm.ext_rows[0].itemsize)
+        kind = tuple if pm.q >= 256 else bytes
+        eager = [kind(row) for row in _eager_digit_rows(pm)]
+        assert list(_digit_rows(pm)) == eager
+        if kind is tuple:
+            continue  # read cell by cell, natively: no lanes, no byte order
+        rows = []
+        for row in pm.ext_rows:
+            copy = array(row.format, row)
+            copy.byteswap()
+            rows.append(memoryview(copy))
+        expected.append((ParityMatrix(pm.q, pm.m, pm.t, pm.n, tuple(rows)), eager))
+    assert itemsizes == [1, 2, 4, 2]
+    assert max(map(max, parity_matrix(specs[2]).ext_rows)) >= 3 << 16  # a // 3 needs 17+ bits
+    # Byteswapped rows hold the bytes a host of the other byte order would.
+    other = {"little": "big", "big": "little"}[sys.byteorder]
+    monkeypatch.setattr(goppa, "sys", SimpleNamespace(byteorder=other))
+    for pm, eager in expected:
+        assert list(_digit_rows(pm)) == eager
 
 
 def test_matrix_json_golden():

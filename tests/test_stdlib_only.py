@@ -1,4 +1,4 @@
-"""The package imports nothing outside the standard library."""
+"""The package and the scripts in tools/ import nothing outside the standard library."""
 
 import ast
 import sys
@@ -7,6 +7,7 @@ from pathlib import Path
 import tgoppa
 
 SRC = Path(tgoppa.__file__).parent
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def _absolute_imports(tree):
@@ -20,9 +21,11 @@ def _absolute_imports(tree):
 def test_every_import_is_relative_or_stdlib():
     sources = sorted(SRC.glob("*.py"))
     assert len(sources) >= 9
+    tools = sorted(TOOLS.glob("*.py"))
+    assert TOOLS / "bench_pairs.py" in tools
     foreign = {
         (path.name, name)
-        for path in sources
+        for path in sources + tools
         for name in _absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
         if name.partition(".")[0] not in sys.stdlib_module_names
     }
