@@ -24,13 +24,11 @@ Reproducibility contract:
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import io
+import os
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from .affine_support import build_support, choose_multiplier, validate_orbit_params
 from .errors import InternalConsistencyError, RejectionCapError, TrialError
@@ -97,6 +95,8 @@ class DeterminismReport:
 
 def trial_seed(master_seed: int, index: int) -> int:
     """Per-trial seed: first 8 bytes of SHA-256("{master_seed}:{index}")."""
+    import hashlib  # here, not at module level: ``import tgoppa`` stays light
+
     digest = hashlib.sha256(f"{master_seed}:{index}".encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -325,7 +325,9 @@ def write_trials_csv(records, dest) -> None:
     Output is byte-identical for equal inputs (LF line endings, minimal
     quoting; the comma-separated g field gets quoted by the csv module).
     """
-    if isinstance(dest, (str, Path)):
+    import csv
+
+    if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w", newline="") as f:
             write_trials_csv(records, f)
         return
@@ -337,7 +339,9 @@ def write_trials_csv(records, dest) -> None:
 
 
 def read_trials_csv(src) -> list[TrialRecord]:
-    if isinstance(src, (str, Path)):
+    import csv
+
+    if isinstance(src, (str, os.PathLike)):
         with open(src, "r", newline="") as f:
             return read_trials_csv(f)
     reader = csv.DictReader(src)

@@ -13,6 +13,10 @@ their non-leading coefficients, the first irreducible one wins.  Every
 run of the library therefore agrees on every element encoding, which
 keeps downstream output reproducible bit for bit.
 
+The modulus test is Ben-Or's: f of degree m is irreducible iff
+gcd(x^(q^i) - x mod f, f) = 1 for every i <= m/2, about m/2 gcds of
+degree-m polynomials over GF(q) per candidate.
+
 Fields of up to ``2**16`` elements with m > 1 keep exp/log tables of
 the smallest multiplicative generator g (odd q also a Zech table).  The
 tables are the orbit of 1 under v -> g*v, a GF(q)-linear map, so the
@@ -20,11 +24,14 @@ build multiplies only the two halves of v's digits by g, once each, and
 adds the two products per element; :meth:`Field._mul_raw` stays the
 independent schoolbook oracle.
 
+The generator test and :meth:`Field.mult_order` read one factorization
+of q^m - 1 per field: an element's order is q^m - 1 with each prime r
+divided out while the power still reaches 1.
+
 Fields are small by design: the size cap is the fixed constant
-``DEFAULT_SIZE_CAP = 2**20`` elements, so that irreducibility checks, root
-scans and orbit walks can all be exhaustive.  :func:`validate_field_params`
-is the one check of (q, m), shared by :class:`Field` and the experiment
-parameter sets.
+``DEFAULT_SIZE_CAP = 2**20`` elements, so that root scans and orbit walks
+can be exhaustive.  :func:`validate_field_params` is the one check of
+(q, m), shared by :class:`Field` and the experiment parameter sets.
 """
 
 from __future__ import annotations
@@ -87,21 +94,24 @@ def _undigits(digits, q: int) -> int:
     return value
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return small + large[::-1]
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def is_prime(n: int) -> bool:
     """Trial division by every d <= sqrt(n); cheap for any q below the size cap."""
-    return _divisors(n) == [1, n]
+    return n > 1 and _prime_factors(n) == [n]
 
 
 def _zq_rem(num: list[int], den: list[int], q: int) -> list[int]:
@@ -119,16 +129,35 @@ def _zq_rem(num: list[int], den: list[int], q: int) -> list[int]:
     return rem[:dd]
 
 
+def _zq_trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
 def _is_irreducible(coeffs: tuple[int, ...], q: int) -> bool:
-    """Exhaustive trial division by every monic polynomial of degree <= m/2."""
-    m = len(coeffs) - 1
-    if m == 1:
-        return True
-    for d in range(1, m // 2 + 1):
-        for enc in range(q**d):
-            den = _digits(enc, q, d) + [1]
-            if not any(_zq_rem(list(coeffs), den, q)):
-                return False
+    """Ben-Or's test: monic f of degree m is irreducible over GF(q) iff
+    gcd(x^(q^i) - x mod f, f) = 1 for i = 1 .. m/2.
+
+    Any reducible f has an irreducible factor of degree d <= m/2, and that
+    factor divides x^(q^d) - x.  Each step raises h = x^(q^(i-1)) mod f to
+    the q-th power as h(x^q), since GF(q) coefficients are fixed by it.
+    """
+    f = list(coeffs)
+    m = len(f) - 1
+    h = [0, 1]
+    for _ in range(m // 2):
+        spread = [0] * ((len(h) - 1) * q + 1)
+        spread[::q] = h
+        h = _zq_rem(spread, f, q)
+        a, b = f, h[:]  # Euclid on (f, h - x); a stays monic
+        b[1] = (b[1] - 1) % q
+        while len(_zq_trim(b)) > 1:
+            inv = pow(b[-1], -1, q)
+            a, b = [c * inv % q for c in b], a
+            b = _zq_rem(b, a, q)
+        if not b:
+            return False
     return True
 
 
@@ -152,7 +181,7 @@ class Field:
     :meth:`check` at trust boundaries).
     """
 
-    __slots__ = ("q", "m", "modulus", "order", "_mod_mask", "_exp", "_log", "_zech")
+    __slots__ = ("q", "m", "modulus", "order", "_mod_mask", "_span_primes", "_exp", "_log", "_zech")
 
     def __init__(self, q: int, m: int, modulus=None):
         validate_field_params(q, m)
@@ -170,6 +199,7 @@ class Field:
         self.m = m
         self.modulus = modulus
         self.order = q**m
+        self._span_primes = _prime_factors(self.order - 1)  # mult_order and the generator
         self._mod_mask = sum(c << j for j, c in enumerate(modulus)) if q == 2 else 0
         self._exp = self._log = self._zech = None  # pow falls back to _pow_raw during the build
         if m > 1 and self.order <= _TABLE_CAP:
@@ -305,6 +335,8 @@ class Field:
     def _build_tables(self):
         """exp (stored twice) and log of the smallest generator g, from split products.
 
+        g is the first c >= 2 with c^((q^m - 1)/r) != 1 for every prime r of
+        q^m - 1, so of order q^m - 1; the primes are factored once per field.
         v -> g*v is GF(q)-linear in v's digits, so with v = lo + q^h*hi
         (h = ceil(m/2)), g*v = g*lo + g*(q^h*hi): one product table for
         each half, q^h + q^(m-h) :meth:`_mul_raw` calls in all, and exp
@@ -318,7 +350,11 @@ class Field:
         encoding tables turn the two halves back into an encoding.
         """
         q, m, span = self.q, self.m, self.order - 1
-        gen = next((c for c in range(2, self.order) if self.mult_order(c) == span), None)
+        gen = next(
+            (c for c in range(2, self.order)
+             if all(self._pow_raw(c, span // r) != 1 for r in self._span_primes)),
+            None,
+        )
         if gen is None:
             raise InternalConsistencyError(f"no multiplicative generator in {self!r}")
         h = (m + 1) >> 1
@@ -415,13 +451,15 @@ class Field:
         return self._pow_raw(a, e)
 
     def mult_order(self, a: int) -> int:
-        """Smallest e >= 1 with a**e == 1; divides order - 1."""
+        """Smallest e >= 1 with a**e == 1: start from order - 1 and divide out
+        each prime r of it while a**(e/r) is still 1."""
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative order")
-        for d in _divisors(self.order - 1):
-            if self.pow(a, d) == 1:
-                return d
-        raise InternalConsistencyError(f"order scan failed for {a} in {self!r}")
+        e = self.order - 1
+        for r in self._span_primes:
+            while e % r == 0 and self.pow(a, e // r) == 1:
+                e //= r
+        return e
 
 
 @functools.lru_cache(maxsize=None, typed=True)

@@ -1,16 +1,19 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from tgoppa import (
     AffineMap,
+    CodeSpec,
     EmptySupportError,
     NoSuchOrderError,
     ParamSet,
     Poly,
     build_support,
     choose_multiplier,
+    dimension,
     make_field,
     run_trial,
     support_orbits,
@@ -314,3 +317,24 @@ def test_support_is_the_whole_field_or_misses_the_fixed_point():
                         assert support == [x for x in whole if x != c], (field, g, b, u)
                     cases += 1
     assert cases == 20_752
+
+
+@pytest.mark.parametrize(
+    "params, counts",
+    [((2, 4, 2, 10, 3), {7: 1680, 10: 120}), ((3, 2, 3, 5, 2), {2: 1656, 3: 264})],
+)
+def test_exact_census_of_a_punctured_set(params, counts):
+    """Exact k counts over every monic root-free g and every eta != 0, through dimension.
+
+    Both sets drop a fixed point c != 0 (9 in GF(16), 7 in GF(9)).  The same
+    counts hold with c = 0 and for other (b, u): (2,4,2,0,3), (2,4,2,0,5) and
+    (2,4,2,7,5) give the first census, (3,2,3,0,2), (3,2,3,0,4) and (3,2,3,4,4)
+    the second; at about 1.4 s per set they are not repeated here.
+    """
+    q, m, t, b, u = params
+    field = make_field(q, m)
+    census = Counter()
+    for g in _monic_root_free(field, t):
+        support = build_support(field, b, u, g)
+        census.update(dimension(CodeSpec(field, support, g, eta)) for eta in range(1, field.order))
+    assert dict(census) == counts

@@ -13,10 +13,11 @@ F16 = make_field(2, 4)
 F9 = make_field(3, 2)
 
 
-def brute_force_divisor_exists(coeffs, q):
-    """Test-local reducibility oracle: search all lower-degree monic divisors."""
+def brute_force_divisor_exists(coeffs, q, max_degree=None):
+    """Test-local reducibility oracle: search all monic divisors of degree
+    1 .. max_degree (default m - 1; m // 2 already decides reducibility)."""
     m = len(coeffs) - 1
-    for d in range(1, m):
+    for d in range(1, (m - 1 if max_degree is None else max_degree) + 1):
         for enc in range(q**d):
             den = _digits(enc, q, d) + [1]
             rem = list(coeffs)
@@ -29,6 +30,31 @@ def brute_force_divisor_exists(coeffs, q):
             if not any(rem):
                 return True
     return False
+
+
+def test_ben_or_matches_divisor_search_exhaustively():
+    for q, degrees in ((2, range(2, 9)), (3, range(2, 6)), (5, (2, 3)), (7, (2, 3))):
+        for m in degrees:
+            for enc in range(q**m):
+                coeffs = tuple(_digits(enc, q, m)) + (1,)
+                assert galois._is_irreducible(coeffs, q) != brute_force_divisor_exists(
+                    coeffs, q
+                ), coeffs
+
+
+def _trial_division_modulus(q, m):
+    """The first monic degree-m polynomial, by encoding, with no divisor of degree <= m/2."""
+    for enc in range(q**m):
+        coeffs = tuple(_digits(enc, q, m)) + (1,)
+        if not brute_force_divisor_exists(coeffs, q, m // 2):
+            return coeffs
+
+
+def test_canonical_moduli_match_trial_division_scan():
+    fields = [(q, m) for q in range(2, 1 << 12) if is_prime(q) for m in range(2, 13) if q**m <= 1 << 12]
+    assert len(fields) == 40
+    for q, m in fields + [(2, 16), (2, 20), (3, 10), (251, 2)]:
+        assert galois._canonical_modulus(q, m) == _trial_division_modulus(q, m), (q, m)
 
 
 def test_canonical_moduli():
@@ -56,6 +82,8 @@ def test_make_field_rejects_non_prime():
 def test_is_prime_and_prime_factors():
     primes = [n for n in range(2000) if n > 1 and all(n % d for d in range(2, n))]
     assert [n for n in range(-3, 2000) if is_prime(n)] == primes
+    for n in range(1, 2000):
+        assert galois._prime_factors(n) == [p for p in primes if n % p == 0], n
 
 
 def test_size_cap(monkeypatch):
@@ -124,6 +152,21 @@ def test_mult_order_examples():
     assert F16.mult_order(6) == 3
     with pytest.raises(ZeroDivisionError):
         F16.mult_order(0)
+
+
+def _divisor_scan_order(F, a, divisors=None):
+    """Smallest divisor d of q^m - 1 with a^d = 1, by raw powers: mult_order's oracle."""
+    span = F.order - 1
+    divisors = divisors or [d for d in range(1, span + 1) if span % d == 0]
+    return next(d for d in divisors if F._pow_raw(a, d) == 1)
+
+
+def test_mult_order_matches_divisor_scan_exhaustively():
+    for F in (F16, make_field(3, 3), make_field(7, 2)):
+        span = F.order - 1
+        divisors = [d for d in range(1, span + 1) if span % d == 0]
+        for a in range(1, F.order):
+            assert F.mult_order(a) == _divisor_scan_order(F, a, divisors), (F, a)
 
 
 def test_mult_order_divides_group_order():
@@ -270,12 +313,10 @@ def test_field_equality_and_cache():
 
 
 def _raw_generator(F):
-    """The smallest encoding c >= 2 of multiplicative order q^m - 1, by raw powers."""
+    """The smallest encoding c >= 2 of multiplicative order q^m - 1, by divisor scans."""
     span = F.order - 1
-    primes = [r for r in galois._divisors(span) if is_prime(r)]
-    return next(
-        c for c in range(2, F.order) if all(F._pow_raw(c, span // r) != 1 for r in primes)
-    )
+    divisors = [d for d in range(1, span + 1) if span % d == 0]
+    return next(c for c in range(2, F.order) if _divisor_scan_order(F, c, divisors) == span)
 
 
 def _raw_orbit_tables(F):
@@ -343,22 +384,22 @@ def test_table_build_multiplies_half_tables_not_every_element(monkeypatch, qm):
     q, m = qm
     calls = {"all": 0, "search": 0}
     in_search = []
-    mul_raw, mult_order = galois.Field._mul_raw, galois.Field.mult_order
+    mul_raw, pow_raw = galois.Field._mul_raw, galois.Field._pow_raw
 
     def counting_mul_raw(self, a, b):
         calls["all"] += 1
         calls["search"] += bool(in_search)
         return mul_raw(self, a, b)
 
-    def counting_mult_order(self, a):
+    def counting_pow_raw(self, a, e):  # only the generator test powers during a build
         in_search.append(a)
         try:
-            return mult_order(self, a)
+            return pow_raw(self, a, e)
         finally:
             in_search.pop()
 
     monkeypatch.setattr(galois.Field, "_mul_raw", counting_mul_raw)
-    monkeypatch.setattr(galois.Field, "mult_order", counting_mult_order)
+    monkeypatch.setattr(galois.Field, "_pow_raw", counting_pow_raw)
     F = Field(q, m)
     h = (m + 1) // 2
     assert calls["all"] - calls["search"] == q**h + q ** (m - h)  # the two product tables

@@ -1,6 +1,9 @@
-"""The package and the scripts in tools/ import nothing outside the standard library."""
+"""The package and the scripts in tools/ import nothing outside the standard library,
+and importing the package loads only what every caller needs."""
 
 import ast
+import hashlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +33,22 @@ def test_every_import_is_relative_or_stdlib():
         if name.partition(".")[0] not in sys.stdlib_module_names
     }
     assert not foreign, f"non-stdlib imports: {sorted(foreign)}"
+
+
+def test_import_loads_no_sweep_only_modules():
+    """``import tgoppa`` in a fresh interpreter leaves hashlib, csv and pathlib unloaded:
+    trial seeds import hashlib and the CSV functions csv when first called."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import tgoppa; "
+        "print(sorted({'hashlib', 'csv', 'pathlib'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(SRC.parent)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_trial_seed_matches_sha256_reference():
+    digest = hashlib.sha256(b"101:7").digest()
+    assert tgoppa.trial_seed(101, 7) == int.from_bytes(digest[:8], "big")
