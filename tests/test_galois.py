@@ -37,9 +37,8 @@ def test_ben_or_matches_divisor_search_exhaustively():
         for m in degrees:
             for enc in range(q**m):
                 coeffs = tuple(_digits(enc, q, m)) + (1,)
-                assert galois._is_irreducible(coeffs, q) != brute_force_divisor_exists(
-                    coeffs, q
-                ), coeffs
+                irreducible = not brute_force_divisor_exists(coeffs, q)
+                assert galois._is_irreducible(coeffs, q) == irreducible, coeffs
 
 
 def _trial_division_modulus(q, m):
@@ -51,9 +50,7 @@ def _trial_division_modulus(q, m):
 
 
 def test_canonical_moduli_match_trial_division_scan():
-    fields = [(q, m) for q in range(2, 1 << 12) if is_prime(q) for m in range(2, 13) if q**m <= 1 << 12]
-    assert len(fields) == 40
-    for q, m in fields + [(2, 16), (2, 20), (3, 10), (251, 2)]:
+    for q, m in SMALL_TABLE_FIELDS + [(2, 16), (2, 20), (3, 10), (251, 2)]:
         assert galois._canonical_modulus(q, m) == _trial_division_modulus(q, m), (q, m)
 
 
@@ -154,17 +151,19 @@ def test_mult_order_examples():
         F16.mult_order(0)
 
 
-def _divisor_scan_order(F, a, divisors=None):
-    """Smallest divisor d of q^m - 1 with a^d = 1, by raw powers: mult_order's oracle."""
-    span = F.order - 1
-    divisors = divisors or [d for d in range(1, span + 1) if span % d == 0]
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _divisor_scan_order(F, a, divisors):
+    """Smallest d in divisors (those of q^m - 1, ascending) with a^d = 1, by raw
+    powers: the oracle of mult_order and of the table generator."""
     return next(d for d in divisors if F._pow_raw(a, d) == 1)
 
 
 def test_mult_order_matches_divisor_scan_exhaustively():
     for F in (F16, make_field(3, 3), make_field(7, 2)):
-        span = F.order - 1
-        divisors = [d for d in range(1, span + 1) if span % d == 0]
+        divisors = _divisors(F.order - 1)
         for a in range(1, F.order):
             assert F.mult_order(a) == _divisor_scan_order(F, a, divisors), (F, a)
 
@@ -315,7 +314,7 @@ def test_field_equality_and_cache():
 def _raw_generator(F):
     """The smallest encoding c >= 2 of multiplicative order q^m - 1, by divisor scans."""
     span = F.order - 1
-    divisors = [d for d in range(1, span + 1) if span % d == 0]
+    divisors = _divisors(span)
     return next(c for c in range(2, F.order) if _divisor_scan_order(F, c, divisors) == span)
 
 

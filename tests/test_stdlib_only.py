@@ -36,19 +36,16 @@ def test_every_import_is_relative_or_stdlib():
 
 
 def test_import_loads_no_sweep_only_modules():
-    """``import tgoppa`` in a fresh interpreter leaves hashlib, csv and pathlib unloaded:
-    trial seeds import hashlib and the CSV functions csv when first called."""
+    """``import tgoppa`` in a fresh interpreter leaves hashlib, csv and pathlib unloaded;
+    ``trial_seed`` imports hashlib when first called and still gives the stated hash."""
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import tgoppa; "
-        "print(sorted({'hashlib', 'csv', 'pathlib'} & set(sys.modules)))"
+        "print(sorted({'hashlib', 'csv', 'pathlib'} & set(sys.modules))); "
+        "print(tgoppa.trial_seed(101, 7))"
     )
     out = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code, str(SRC.parent)],
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert out.stdout.strip() == "[]"
-
-
-def test_trial_seed_matches_sha256_reference():
-    digest = hashlib.sha256(b"101:7").digest()
-    assert tgoppa.trial_seed(101, 7) == int.from_bytes(digest[:8], "big")
+    reference = int.from_bytes(hashlib.sha256(b"101:7").digest()[:8], "big")
+    assert out.stdout.splitlines() == ["[]", str(reference)]
