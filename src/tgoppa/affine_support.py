@@ -29,7 +29,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import EmptySupportError, NoSuchOrderError, InternalConsistencyError
-from .galois import Field, _check_int
+from .galois import Field, _check_int, validate_field_params
 from .polyring import Poly
 
 
@@ -42,10 +42,8 @@ class AffineMap:
     b: int
 
     def __post_init__(self):
-        self.field.check(self.a)
+        _check_int(self.a, "multiplier a", 1, self.field.order - 1)  # a != 0: a bijection
         self.field.check(self.b)
-        if self.a == 0:
-            raise ValueError("multiplier a must be nonzero for a bijection")
 
     def __call__(self, x: int) -> int:
         F = self.field
@@ -77,15 +75,15 @@ class AffineMap:
 def validate_orbit_params(q: int, m: int, u: int, b: int | None = None) -> None:
     """Reject a (b, u) pair that names no affine map of order u over GF(q^m).
 
-    The one validation path for u and b, before any field work: u must be
-    1, q, or a divisor of q^m - 1.  Both u == 1 and u == q are realized by
-    a translation x -> x + b, which has order 1 iff b == 0 and order q
-    otherwise, so u == 1 needs b == 0 and u == q needs b != 0.  b=None
-    checks u alone.
+    The one validation path for u and b, before any field work and after
+    (q, m), so q**m is never computed beyond the size cap: u must be 1, q,
+    or a divisor of q^m - 1.  Both u == 1 and u == q are realized by a
+    translation x -> x + b, of order 1 iff b == 0 and order q otherwise,
+    so u == 1 needs b == 0 and u == q needs b != 0.  b=None checks u alone.
     """
+    validate_field_params(q, m)
     order = q**m
-    if _check_int(u, "order u") < 1:
-        raise ValueError(f"order u must be a positive integer, got {u}")
+    _check_int(u, "order u", 1)
     if u not in (1, q) and (order - 1) % u != 0:
         raise NoSuchOrderError(
             f"no affine map of order {u} over GF({q}^{m}): "
@@ -93,8 +91,7 @@ def validate_orbit_params(q: int, m: int, u: int, b: int | None = None) -> None:
         )
     if b is None:
         return
-    if not 0 <= _check_int(b, "translation b") < order:
-        raise ValueError(f"b must lie in [0, {order}), got {b}")
+    _check_int(b, "translation b", 0, order - 1)
     if u in (1, q) and (u == 1) != (b == 0):
         raise NoSuchOrderError(
             f"u={u} over GF({q}^{m}) is realized by x -> x + b, which is the identity "

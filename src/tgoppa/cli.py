@@ -22,7 +22,7 @@ import sys
 
 from .affine_support import build_support, support_orbits
 from .errors import InternalConsistencyError
-from .galois import _check_int, make_field
+from .galois import _check_int, _read_int, make_field
 from .goppa import (
     DEFAULT_ENUMERATION_CAP,
     CodeSpec,
@@ -78,9 +78,8 @@ def _build_spec(args) -> CodeSpec:
     g = _checked(Poly.from_string, field, args.g, prefix="bad --g: ")
     if getattr(args, "t", None) is not None and args.t != g.degree:
         raise _UsageError(f"--t {args.t} contradicts deg g = {g.degree}")
-    eta = _checked(field.check, args.eta, prefix="bad --eta: ")
     support = _checked(build_support, field, args.b, args.u, g, args.orbits)
-    return _checked(CodeSpec, field, support, g, eta)
+    return _checked(CodeSpec, field, support, g, args.eta)
 
 
 # -- handlers -----------------------------------------------------------------
@@ -113,10 +112,8 @@ def _cmd_dim(args) -> int:
 
 def _cmd_member(args) -> int:
     spec = _build_spec(args)
-    try:
-        word = tuple(int(tok) for tok in args.word.split(","))
-    except ValueError:
-        raise _UsageError(f"bad --word: {args.word!r}") from None
+    word = [_checked(_read_int, tok, "word entry", prefix="bad --word: ")
+            for tok in args.word.split(",")]
     print(_json_line({"n": spec.n, "is_codeword": is_codeword(spec, word)}))
     return EXIT_OK
 
@@ -227,25 +224,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
+    def integer(text: str) -> int:  # every integer flag; argparse names it: "invalid integer value"
+        return _read_int(text, "integer")
+
     field_common = argparse.ArgumentParser(add_help=False)
-    field_common.add_argument("--q", type=int, required=True, help="prime base field order")
-    field_common.add_argument("--m", type=int, required=True, help="extension degree")
+    field_common.add_argument("--q", type=integer, required=True, help="prime base field order")
+    field_common.add_argument("--m", type=integer, required=True, help="extension degree")
 
     code_common = argparse.ArgumentParser(add_help=False, parents=[field_common])
     code_common.add_argument(
         "--g", required=True,
         help="Goppa polynomial, ascending comma-separated encodings (e.g. 2,1,1)",
     )
-    code_common.add_argument("--b", type=int, default=0, help="translation encoding (default 0)")
-    code_common.add_argument("--u", type=int, default=1,
+    code_common.add_argument("--b", type=integer, default=0,
+                             help="translation encoding (default 0)")
+    code_common.add_argument("--u", type=integer, default=1,
                              help="affine map order (default 1: the identity, whole field)")
     code_common.add_argument(
-        "--orbits", type=int, help="keep only the first N orbits of the support"
+        "--orbits", type=integer, help="keep only the first N orbits of the support"
     )
 
     spec_common = argparse.ArgumentParser(add_help=False, parents=[code_common])
-    spec_common.add_argument("--t", type=int, help="Goppa degree; must match deg g")
-    spec_common.add_argument("--eta", type=int, required=True, help="twist element encoding")
+    spec_common.add_argument("--t", type=integer, help="Goppa degree; must match deg g")
+    spec_common.add_argument("--eta", type=integer, required=True, help="twist element encoding")
 
     p = sub.add_parser("field", parents=[field_common],
                        help="print the canonical field description")
@@ -268,17 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-dim", parents=[spec_common],
                        help="compare rank-based and brute-force dimensions")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+    p.add_argument("--cap", type=integer, default=DEFAULT_ENUMERATION_CAP,
                    help="enumeration cap on q^n (default 2^20)")
     p.set_defaults(handler=_cmd_oracle_dim)
 
     p = sub.add_parser("determinism", parents=[field_common],
                        help="randomized trials of one parameter set")
-    p.add_argument("--t", type=int, required=True, help="Goppa degree")
-    p.add_argument("--b", type=int, required=True, help="translation element encoding")
-    p.add_argument("--u", type=int, required=True, help="affine map order")
-    p.add_argument("--trials", type=int, default=20, help="trial count (default 20)")
-    p.add_argument("--seed", type=int, required=True, help="master seed")
+    p.add_argument("--t", type=integer, required=True, help="Goppa degree")
+    p.add_argument("--b", type=integer, required=True, help="translation element encoding")
+    p.add_argument("--u", type=integer, required=True, help="affine map order")
+    p.add_argument("--trials", type=integer, default=20, help="trial count (default 20)")
+    p.add_argument("--seed", type=integer, required=True, help="master seed")
     p.add_argument("--allow-zero-eta", action="store_true",
                    help="sample eta from the whole field instead of the nonzero part")
     p.add_argument("--out", help="also write the report JSON here")
@@ -288,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True,
                    help='JSON file {"grid":[{"q":..,"m":..,"t":..,"b":..,"u":..}],'
                         '"trials":..,"seed":..}')
-    p.add_argument("--trials", type=int, help="override the grid file's trial count")
-    p.add_argument("--seed", type=int, help="override the grid file's seed")
+    p.add_argument("--trials", type=integer, help="override the grid file's trial count")
+    p.add_argument("--seed", type=integer, help="override the grid file's seed")
     p.add_argument("--allow-zero-eta", action="store_true",
                    help="sample eta from the whole field instead of the nonzero part")
     p.add_argument("--out", help="write results here instead of stdout")

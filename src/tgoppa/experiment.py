@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 from .affine_support import build_support, choose_multiplier, validate_orbit_params
 from .errors import InternalConsistencyError, RejectionCapError, TrialError
-from .galois import Field, _check_int, make_field, validate_field_params
+from .galois import Field, _check_int, _read_int, make_field
 from .goppa import CodeSpec, dimension
 from .polyring import Poly, is_root_free
 
@@ -52,9 +52,8 @@ class ParamSet:
     u: int
 
     def __post_init__(self):
-        validate_field_params(self.q, self.m)
+        validate_orbit_params(self.q, self.m, self.u, self.b)  # checks (q, m) first
         _check_int(self.t, "degree t", 2)  # no linear g is root-free
-        validate_orbit_params(self.q, self.m, self.u, self.b)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -62,12 +61,7 @@ class ParamSet:
     @classmethod
     def from_dict(cls, data: dict) -> "ParamSet":
         """Ints or decimal strings (CSV rows are text); floats and bools are rejected."""
-        return cls(*(_integer(data[key], key) for key in ("q", "m", "t", "b", "u")))
-
-
-def _integer(value, what: str) -> int:
-    """Decimal text (a CSV cell) as an int; any other value must pass the integer rule."""
-    return int(value) if isinstance(value, str) else _check_int(value, what)
+        return cls(*(_read_int(data[key], key) for key in ("q", "m", "t", "b", "u")))
 
 
 @dataclass(frozen=True)
@@ -285,7 +279,7 @@ def record_to_dict(record: TrialRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> TrialRecord:
-    ints = {key: _integer(data[key], key) for key in ("a", "n", "eta", "k", "seed")}
+    ints = {key: _read_int(data[key], key) for key in ("a", "n", "eta", "k", "seed")}
     return TrialRecord(params=ParamSet.from_dict(data["params"]), g=data["g"], **ints)
 
 

@@ -31,7 +31,9 @@ divided out while the power still reaches 1.
 Fields are small by design: the size cap is the fixed constant
 ``DEFAULT_SIZE_CAP = 2**20`` elements, so that root scans and orbit walks
 can be exhaustive.  :func:`validate_field_params` is the one check of
-(q, m), shared by :class:`Field` and the experiment parameter sets.
+(q, m), shared by :class:`Field` and the experiment parameter sets.  All
+integer input meets the integer rule :func:`_check_int`, and text first
+meets the decimal text rule :func:`_read_int`; no other module has its own.
 """
 
 from __future__ import annotations
@@ -46,17 +48,32 @@ DEFAULT_SIZE_CAP = 1 << 20
 _TABLE_CAP = 1 << 16
 
 
-def _check_int(value, what: str, minimum: int | None = None) -> int:
-    """The package's one integer rule: ``value`` must be of type exactly ``int``.
+def _check_int(value, what: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """The package's one integer rule: ``value`` must be of type exactly ``int``
+    and lie in ``[minimum, maximum]``; either bound may be None.
 
     Bools, floats and strings are rejected, never truncated, so every
     integer the library accepts prints, hashes and reads back as itself.
     :meth:`Field.check` applies the same test inline on its hot path.
     """
-    if type(value) is not int or (minimum is not None and value < minimum):
-        at_least = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{what} must be an int{at_least}, got {value!r}")
+    if (type(value) is not int or (minimum is not None and value < minimum)
+            or (maximum is not None and value > maximum)):
+        bounds = " and".join(f" {op} {v}" for op, v in ((">=", minimum), ("<=", maximum))
+                             if v is not None)
+        raise ValueError(f"{what} must be an int{bounds}, got {value!r}")
     return value
+
+
+def _read_int(value, what: str) -> int:
+    """The package's one decimal text rule: a str must be ASCII digits, an optional leading
+    ``-`` first (``int()`` also takes ``+``, spaces, ``_`` and non-ASCII digits).  The
+    result, or any other value as it is, must then pass :func:`_check_int`."""
+    if type(value) is str:
+        digits = value[1:] if value[:1] == "-" else value
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"{what} must be decimal digits, got {value!r}")
+        value = int(value)
+    return _check_int(value, what)
 
 
 def validate_field_params(q: int, m: int) -> None:
@@ -161,7 +178,6 @@ def _is_irreducible(coeffs: tuple[int, ...], q: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
 def _canonical_modulus(q: int, m: int) -> tuple[int, ...]:
     for enc in range(q**m):
         coeffs = tuple(_digits(enc, q, m)) + (1,)
@@ -188,11 +204,9 @@ class Field:
         if modulus is None:
             modulus = _canonical_modulus(q, m)  # irreducible by construction
         else:
-            modulus = tuple(_check_int(c, "modulus coefficient") for c in modulus)
+            modulus = tuple(_check_int(c, "modulus coefficient", 0, q - 1) for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree exactly m")
-            if any(not 0 <= c < q for c in modulus):
-                raise ValueError("modulus coefficients must lie in [0, q)")
             if not _is_irreducible(modulus, q):
                 raise ValueError(f"modulus {list(modulus)} is reducible over GF({q})")
         self.q = q
@@ -243,11 +257,9 @@ class Field:
         return tuple(_digits(a, self.q, self.m))
 
     def from_digits(self, digits) -> int:
-        digits = list(digits)
+        digits = [_check_int(d, "digit", 0, self.q - 1) for d in digits]
         if len(digits) != self.m:
             raise ValueError(f"expected {self.m} digits, got {len(digits)}")
-        if any(not 0 <= _check_int(d, "digit") < self.q for d in digits):
-            raise ValueError("digits must lie in [0, q)")
         return _undigits(digits, self.q)
 
     # -- arithmetic -----------------------------------------------------

@@ -262,13 +262,10 @@ def is_codeword(spec: CodeSpec, word) -> bool:
     over GF(q^m); the expanded matrix is never touched, so this can
     arbitrate between the rank and brute-force dimension routes.
     """
-    word = tuple(word)
+    F = spec.field
+    word = tuple(_check_int(c, "word entry", 0, F.q - 1) for c in word)
     if len(word) != spec.n:
         raise ValueError(f"word length {len(word)} != support size {spec.n}")
-    q = spec.field.q
-    if any(not 0 <= _check_int(c, "word entry") < q for c in word):
-        raise ValueError("word entries must lie in [0, q)")
-    F = spec.field
     for row in spec.rows():
         acc = 0
         for c, h in zip(word, row):
@@ -350,7 +347,7 @@ def spec_to_json(spec: CodeSpec) -> dict:
 
 
 def spec_from_json(data: dict) -> CodeSpec:
-    field = Field(data["q"], data["m"], data["modulus"])
+    field = Field.from_json(data)
     g = Poly.from_string(field, data["g"])
     if "t" in data and g.degree != _check_int(data["t"], "t"):
         raise InvalidSpecError(f"g has degree {g.degree}, expected t={data['t']}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import zip_longest
 
 from .errors import FieldMismatchError, NotInvertibleError
-from .galois import Field
+from .galois import Field, _read_int
 
 
 def _same_field(f: "Poly", h: "Poly") -> Field:
@@ -73,11 +73,9 @@ class Poly:
 
     @classmethod
     def from_string(cls, field: Field, text: str) -> "Poly":
-        try:
-            coeffs = [int(tok) for tok in text.split(",")]
-        except (ValueError, AttributeError):
-            raise ValueError(f"bad polynomial serialization: {text!r}") from None
-        return cls(field, coeffs)
+        if type(text) is not str:
+            raise ValueError(f"bad polynomial serialization: {text!r}")
+        return cls(field, [_read_int(tok, "polynomial coefficient") for tok in text.split(",")])
 
     def to_string(self) -> str:
         if not self.coeffs:

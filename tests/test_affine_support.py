@@ -150,9 +150,9 @@ def test_validate_orbit_params():
         validate_orbit_params(3, 5, 3, 0)  # u = q needs b != 0
     with pytest.raises(NoSuchOrderError):
         validate_orbit_params(2, 2, 5, 1)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="order u must be an int >= 1, got 0"):
         validate_orbit_params(2, 2, 0, 1)
-    with pytest.raises(ValueError, match="b must lie"):
+    with pytest.raises(ValueError, match="translation b must be an int >= 0 and <= 3, got 4"):
         validate_orbit_params(2, 2, 2, 4)
     # choose_multiplier runs the same u check and gives the same message
     with pytest.raises(NoSuchOrderError, match="does not divide q\\^m - 1 = 3"):

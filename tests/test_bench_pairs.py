@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -102,3 +103,64 @@ def test_summarize_resolves_a_higher_is_better_metric_by_its_own_direction():
 
 def test_quartiles_of_one_run():
     assert bench_pairs.quartiles([3.0]) == {"q1": 3.0, "median": 3.0, "q3": 3.0}
+
+
+def _bench_run(p50, correct=True):
+    return {"meta": {"git_rev": "rev", "src_sha256": "sha"}, "correct": correct, "failed": 0,
+            "attempted": 1, "metrics": {"code_p50_ms": p50, "ok_ratio": 1.0}}
+
+
+def _main(tmp_path, monkeypatch, runs):
+    """main() over two pairs, with run_bench answering from ``runs`` in call order."""
+    change = tmp_path / "change"
+    change.mkdir(parents=True)
+    (change / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 1, "end_to_end": METRICS}))
+    answers = iter(runs)
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: next(answers))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    code = bench_pairs.main([str(tmp_path), str(change), "--id", "7",
+                             "--workload", "grid_sweep", "--pairs", "2", "--seed-base", "5"])
+    return code, json.loads((tmp_path / "BENCH_7.json").read_text())
+
+
+def test_main_keeps_a_failed_run_and_exits_1(tmp_path, monkeypatch):
+    failed = {"correct": False, "error": "exit code 1; stderr: boom"}
+    code, doc = _main(tmp_path, monkeypatch, [_bench_run(10.0), _bench_run(9.0), failed,
+                                              _bench_run(8.0)])
+    assert code == 1
+    wl = doc["workloads"]["grid_sweep"]
+    assert not wl["all_correct"]
+    assert wl["runs"][1]["change"] == failed  # pair 1 runs the change first
+    assert wl["summary"]["metrics"]["code_p50_ms"]["pairs"] == 1  # only the finished pair
+    assert (doc["parent_git_rev"], doc["change_src_sha256"]) == ("rev", "sha")
+
+
+def test_main_exits_1_when_a_run_fails_its_gates(tmp_path, monkeypatch):
+    code, doc = _main(tmp_path, monkeypatch, [_bench_run(10.0), _bench_run(9.0, correct=False),
+                                              _bench_run(8.0), _bench_run(10.0)])
+    assert code == 1 and not doc["workloads"]["grid_sweep"]["all_correct"]
+    code, doc = _main(tmp_path / "ok", monkeypatch, [_bench_run(10.0)] * 4)
+    assert code == 0 and doc["workloads"]["grid_sweep"]["all_correct"]
+
+
+def test_main_writes_the_pairs_run_before_an_interruption(tmp_path, monkeypatch):
+    def interrupted():
+        yield _bench_run(10.0)
+        yield _bench_run(9.0)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        _main(tmp_path, monkeypatch, interrupted())
+    runs = json.loads((tmp_path / "BENCH_7.json").read_text())["workloads"]["grid_sweep"]["runs"]
+    assert runs[0]["parent"]["metrics"]["code_p50_ms"] == 10.0
+    assert runs[0]["change"]["metrics"]["code_p50_ms"] == 9.0
+
+
+def test_run_bench_records_a_run_that_exits_non_zero(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import sys\nprint('half a line')\nprint('boom', file=sys.stderr)\nsys.exit(3)\n")
+    run = bench_pairs.run_bench(tmp_path, "grid_sweep", 0, 1)
+    assert run["correct"] is False and "metrics" not in run
+    assert "exit code 3" in run["error"] and "boom" in run["error"]

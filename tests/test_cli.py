@@ -409,3 +409,47 @@ def test_readme_cli_examples_print_what_the_readme_shows(capsys):
     for argv, expected in examples:
         code, out, _ = run(capsys, argv)
         assert (code, out) == (0, expected), argv
+
+
+BAD_TEXT = ("1_0", " 10", "١٠", "+10")  # ١٠: Arabic-Indic 10
+
+
+def _exit_and_err(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def test_every_integer_text_on_the_command_line_meets_the_text_rule(capsys, tmp_path):
+    """One integer flag per subcommand, --g, --word and a grid entry read 10 and -3 as
+    ints and reject what Python's int() would add: a flag, --g or --word exits 2, a grid
+    entry is reported as rejected.  Each row gives the exit codes for 10, -3 and bad text;
+    a text with a leading '-' and a comma goes as --flag=text, or argparse reads a flag."""
+    grid = tmp_path / "grid.json"
+    spec = ["--q", "2", "--m", "2", "--g", "2,1,1", "--eta", "1"]
+    trial = ["--q", "2", "--m", "2", "--t", "2", "--b", "0", "--u", "1", "--trials", "1"]
+    cases = [
+        (["field", "--q", "2", "--m", "{}"], 0, 2, 2),  # m >= 1
+        (["support", "--q", "2", "--m", "4", "--g", "1,1,0,1", "--u", "2", "--b", "{}"], 0, 2, 2),
+        (["dim", "--q", "2", "--m", "4", "--g", "1,1,0,1", "--eta", "{}"], 0, 2, 2),
+        (["dim", "--q", "2", "--m", "4", "--g={},1,0,1", "--eta", "1"], 0, 2, 2),
+        (["member", *spec, "--orbits", "{}", "--word", "1,1,0,0"], 0, 2, 2),
+        (["member", *spec, "--word={},1,0,0"], 1, 1, 2),  # entries must lie in [0, q)
+        (["oracle-dim", *spec, "--cap", "{}"], 1, 2, 2),  # 2^4 words exceed a cap of 10
+        (["determinism", *trial, "--seed", "{}"], 0, 0, 2),  # a master seed may be negative
+        (["sweep", "--grid", str(grid), "--trials", "1", "--seed", "{}"], 0, 0, 2),
+        (["sweep", "--grid", str(grid), "--format", "json"], 0, 1, 1),  # b of the grid entry
+    ]
+    for template, *codes in cases:
+        for texts, code in zip((("10",), ("-3",), BAD_TEXT), codes):
+            for text in texts:
+                b = text if "--format" in template else 10
+                grid.write_text(json.dumps({"grid": [{"q": 2, "m": 4, "t": 3, "b": b, "u": 3}],
+                                            "trials": 1, "seed": 1}))
+                argv = [arg.replace("{}", text) for arg in template]
+                got, err = _exit_and_err(capsys, argv)
+                assert got == code, (argv, err)
+                rejected = "invalid integer value" in err or "decimal digits" in err
+                assert rejected == (text in BAD_TEXT), (argv, err)

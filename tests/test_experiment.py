@@ -167,6 +167,90 @@ def test_integer_rule_at_every_boundary(monkeypatch):
             assert built[0] is None or type(v) is int, data
 
 
+BAD_TEXT = ("1_0", " 10", "\u0661\u0660", "+10", "10 ", "-", "")  # \u0661\u0660: Arabic-Indic 10
+
+
+def test_decimal_text_rule_at_every_text_entry_point():
+    """CSV cells, grid-entry strings and polynomial text all read exactly ASCII digits
+    with an optional leading '-': 10 and -3 are read as ints (and -3 then meets the
+    range rule of its field), Python-int() extras are rejected before any check."""
+    import csv
+
+    row = next(csv.DictReader(io.StringIO(trials_csv_text(sweep([ParamSet(2, 4, 3, 10, 3)],
+                                                                 1, 11).records))))
+
+    def csv_with(key, cell):
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, CSV_FIELDS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerow({**row, key: cell})
+        return read_trials_csv(io.StringIO(buf.getvalue()))[0]
+
+    grid = {"q": "2", "m": "4", "t": "3", "b": "10", "u": "3"}
+    readers = [
+        lambda v: csv_with("k", v).k,
+        lambda v: csv_with("b", v).params.b,
+        lambda v: ParamSet.from_dict({**grid, "b": v}).b,
+        lambda v: Poly.from_string(F16, f"{v},1").coeffs[0],
+    ]
+    for read in readers:
+        assert read("10") == 10
+        for bad in BAD_TEXT:
+            with pytest.raises(ValueError, match="decimal digits"):
+                read(bad)
+    assert csv_with("k", "-3").k == -3
+    for read, error in zip(readers[1:], ("translation b must be an int >= 0",) * 2
+                                         + ("not an element encoding",)):
+        with pytest.raises(ValueError, match=f"{error}.*-3"):
+            read("-3")
+
+
+def test_range_rule_at_every_range_site():
+    """Modulus coefficients, digits, word entries, b and u are range-checked by the integer
+    rule: the first value past either end is rejected, the ends themselves are accepted."""
+    spec = CodeSpec(F16, (0, 1), random_root_free_poly(F16, 3, random.Random(1)), 1)
+    sites = [
+        (lambda v: Field(2, 3, (1, v, 1 - v, 1)), 0, 1),  # x^3 + x^2 + 1, x^3 + x + 1
+        (lambda v: F16.from_digits((v, 0, 0, 0)), 0, 1),
+        (lambda v: is_codeword(spec, (v, 0)), 0, 1),
+        (lambda v: validate_orbit_params(2, 4, 3, v), 0, 15),
+        (lambda v: validate_orbit_params(2, 4, v), 1, None),
+        (lambda v: AffineMap(F16, v, 0), 1, 15),
+    ]
+    for site, low, high in sites:
+        site(low)
+        bad = [low - 1]
+        if high is not None:
+            site(high)
+            bad.append(high + 1)
+        for v in bad:
+            with pytest.raises(ValueError, match=f"must be an int >= .*got {v}"):
+                site(v)
+    with pytest.raises(ValueError, match="modulus coefficient must be an int >= 0 and <= 2"):
+        Field(3, 2, (-1, 0, 1))
+
+
+@pytest.mark.parametrize("args", [(2.5, 3, 1, 0), (4, 2, 1, 0), (2, 0, 1, 0), (2, 21, 1, 0),
+                                  (3, 10**7, 2, None)])
+def test_validate_orbit_params_checks_q_and_m_first(args):
+    """The same error type as ParamSet, and no q**m computed for a field beyond the cap."""
+    q, m, u, b = args
+    with pytest.raises(ValueError) as lib:
+        validate_orbit_params(q, m, u, b)
+    with pytest.raises(ValueError) as params:
+        ParamSet(q, m, 2, 0 if b is None else b, u)
+    assert type(lib.value) is type(params.value)
+
+
+def test_validate_orbit_params_rejects_a_huge_degree_at_once():
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError):
+        validate_orbit_params(3, 10**7, 2)
+    assert time.perf_counter() - start < 0.1  # 3**(10**7) alone takes seconds
+
+
 def test_random_root_free_poly_replay_and_postcondition():
     g1 = random_root_free_poly(F16, 3, random.Random(5))
     g2 = random_root_free_poly(F16, 3, random.Random(5))

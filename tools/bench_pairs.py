@@ -14,8 +14,11 @@ For every end-to-end metric there it prints each side's median and
 quartiles, how many pairs the change won (ties count for neither side),
 whether the change stays within the metric's bound, and whether it is a
 gain.  Every run, with its metadata, goes to ``BENCH_<id>.json`` at the
-root of this checkout, with both git revs and the Python version.
-Standard library only.
+root of this checkout, with both git revs and the Python version.  A run
+that exits non-zero or prints no result is kept in its pair as failed, the
+summary covers only the pairs whose two runs both finished, and the file is
+written in any case.  The exit code is 1 when any run failed or failed its
+gates (``correct: false``), else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -90,21 +93,31 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py --trace 0`` run; its metadata, result and metric values."""
+    """One ``bench/run.py --trace 0`` run; its metadata, result and metric values.
+
+    A run that exits non-zero or whose last two stdout lines are not its
+    meta and result JSON is returned as ``{"correct": False, "error": ...}``
+    with its exit code and the tail of its stderr, and no metrics.
+    """
     out = subprocess.run(
         [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True,
+        cwd=checkout, capture_output=True, text=True,
     )
-    meta_line, result_line = out.stdout.strip().splitlines()[-2:]
-    result = json.loads(result_line)
-    return {
-        "meta": json.loads(meta_line)["meta"],
-        "correct": result["correct"],
-        "failed": result["failed"],
-        "attempted": result["attempted"],
-        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-    }
+    try:
+        if out.returncode:
+            raise ValueError(f"exit code {out.returncode}")
+        meta_line, result_line = out.stdout.strip().splitlines()[-2:]
+        result = json.loads(result_line)
+        return {
+            "meta": json.loads(meta_line)["meta"],
+            "correct": result["correct"],
+            "failed": result["failed"],
+            "attempted": result["attempted"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        }
+    except (ValueError, KeyError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
+        return {"correct": False, "error": f"{exc}; stderr: {out.stderr[-2000:]}"}
 
 
 def print_summary(workload: str, summary: dict) -> None:
@@ -141,32 +154,39 @@ def main(argv=None) -> int:
         "seed_base": args.seed_base,
         "workloads": {},
     }
-    for workload in args.workload:
-        runs = []
-        for i in range(args.pairs):
-            seed = args.seed_base + i
-            order = [("parent", parent), ("change", change)]
-            if i % 2:
-                order.reverse()
-            pair = {"seed": seed, "first": order[0][0]}
-            for side, checkout in order:
-                pair[side] = run_bench(checkout, workload, seed, seconds)
-                print(f"{workload} seed {seed} {side}: {pair[side]['metrics']}", flush=True)
-            runs.append(pair)
-        summary = summarize(runs, bench["end_to_end"])
-        print_summary(workload, summary)
-        correct = all(r[side]["correct"] for r in runs for side in ("parent", "change"))
-        if not correct:
-            print(f"{workload}: some runs failed their gates; see the runs in the JSON")
-        doc["workloads"][workload] = {"all_correct": correct, "summary": summary, "runs": runs}
-    for side in ("parent", "change"):
-        first = next(iter(doc["workloads"].values()))["runs"][0][side]["meta"]
-        doc[f"{side}_git_rev"] = first["git_rev"]
-        doc[f"{side}_src_sha256"] = first["src_sha256"]
-    path = ROOT / f"BENCH_{args.id}.json"
-    path.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {path}")
-    return 0
+    all_correct, path = True, ROOT / f"BENCH_{args.id}.json"
+    try:
+        for workload in args.workload:
+            runs = []  # filled in place, so an interrupted run still writes its pairs
+            entry = doc["workloads"][workload] = {"all_correct": False, "summary": None,
+                                                  "runs": runs}
+            for i in range(args.pairs):
+                seed = args.seed_base + i
+                order = [("parent", parent), ("change", change)]
+                if i % 2:
+                    order.reverse()
+                pair = {"seed": seed, "first": order[0][0]}
+                runs.append(pair)
+                for side, checkout in order:
+                    run = pair[side] = run_bench(checkout, workload, seed, seconds)
+                    print(f"{workload} seed {seed} {side}: "
+                          f"{run.get('metrics', run.get('error'))}", flush=True)
+                    if "meta" in run:  # the revs come from the first run that finished
+                        for key in ("git_rev", "src_sha256"):
+                            doc.setdefault(f"{side}_{key}", run["meta"][key])
+            finished = [r for r in runs if "metrics" in r["parent"] and "metrics" in r["change"]]
+            if finished:
+                entry["summary"] = summarize(finished, bench["end_to_end"])
+                print_summary(workload, entry["summary"])
+            entry["all_correct"] = all(r[side]["correct"]
+                                       for r in runs for side in ("parent", "change"))
+            if not entry["all_correct"]:
+                print(f"{workload}: some runs failed or failed their gates; see the JSON")
+            all_correct &= entry["all_correct"]
+    finally:
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+        print(f"wrote {path}")
+    return 0 if all_correct else 1
 
 
 if __name__ == "__main__":
