@@ -7,9 +7,9 @@ assembled from the complete size-u orbits of sigma.
 
 Conventions (fixed so that equal inputs always give byte-equal output):
 
-* u == 1 asks for the identity map, with b = 0; the support is then
-  simply every field element that is not a root of g, in ascending
-  encoding order.  This is the whole-field support.
+* u == 1 asks for the identity map, with b = 0; its orbits are single
+  points, so the support is every field element that is not a root of
+  g, in ascending encoding order.  This is the whole-field support.
 * u == q (the characteristic) is realized by a = 1 with the given
   translation b, which must be nonzero to actually have order q.
 * any other u must divide q^m - 1 and is realized by the
@@ -18,9 +18,9 @@ Conventions (fixed so that equal inputs always give byte-equal output):
   its minimal element; orbits that touch a root of g are dropped whole,
   which keeps the surviving support closed under sigma.
 
-The support is built flat, in one walk of the field
-(:func:`build_support`); :func:`support_orbits` groups it into its
-orbits, runs of u consecutive points.
+The support is built flat, in one orbit walk of the field for every
+(b, u) (:func:`build_support`); :func:`support_orbits` groups it into
+its orbits, runs of u consecutive points.
 """
 
 from __future__ import annotations
@@ -129,12 +129,12 @@ def build_support(
 
     (b, u) is checked by :func:`validate_orbit_params` before the walk:
     x -> x + b has order 1 iff b == 0 and order q otherwise.  The field is
-    walked once.  For u == 1 (b == 0, the identity) the support is every
-    non-root of g.  For u > 1 it is the complete size-u orbits of
-    sigma = (a, b) avoiding the roots of g, ordered by minimal element, so
-    each run of u consecutive points is one orbit.  ``max_orbits`` keeps
-    only the first that many orbits (the single-orbit, cyclic case is
-    max_orbits = 1).
+    walked once, for every u alike: the support is the complete size-u
+    orbits of sigma = (a, b) avoiding the roots of g, ordered by minimal
+    element, so each run of u consecutive points is one orbit.  The
+    identity (u == 1) has single-point orbits, so its support is every
+    non-root of g in ascending order.  ``max_orbits`` keeps only the first
+    that many orbits (the single-orbit, cyclic case is max_orbits = 1).
     """
     validate_orbit_params(field.q, field.m, u, b)
     if g.field != field:
@@ -143,21 +143,17 @@ def build_support(
         raise ValueError("g must be nonzero")
     if max_orbits is not None:
         _check_int(max_orbits, "max_orbits", 1)
-    a = choose_multiplier(field, u)
-    if u == 1:
-        support = [x for x in field.elements() if g(x) != 0]
-    else:
-        sigma = AffineMap(field, a, b)
-        seen = bytearray(field.order)
-        support = []
-        for x in field.elements():
-            if seen[x]:
-                continue
-            orb = sigma.orbit(x)
-            for y in orb:
-                seen[y] = 1
-            if len(orb) == u and all(g(y) != 0 for y in orb):
-                support.extend(orb)
+    sigma = AffineMap(field, choose_multiplier(field, u), b)
+    seen = bytearray(field.order)
+    support = []
+    for x in field.elements():
+        if seen[x]:
+            continue
+        orb = sigma.orbit(x)
+        for y in orb:
+            seen[y] = 1
+        if len(orb) == u and all(g(y) != 0 for y in orb):
+            support.extend(orb)
     if not support:
         raise EmptySupportError(
             f"no admissible orbit for b={b}, u={u} with g={g.to_string()!r}"

@@ -26,6 +26,7 @@ from .galois import _check_int, _read_int, make_field
 from .goppa import (
     DEFAULT_ENUMERATION_CAP,
     CodeSpec,
+    _check_degree,
     brute_force_dimension,
     dimension,
     is_codeword,
@@ -76,8 +77,8 @@ def _checked(build, *args, prefix: str = "", **kwargs):
 def _build_spec(args) -> CodeSpec:
     field = _checked(make_field, args.q, args.m)
     g = _checked(Poly.from_string, field, args.g, prefix="bad --g: ")
-    if getattr(args, "t", None) is not None and args.t != g.degree:
-        raise _UsageError(f"--t {args.t} contradicts deg g = {g.degree}")
+    if getattr(args, "t", None) is not None:
+        _checked(_check_degree, g, args.t)
     support = _checked(build_support, field, args.b, args.u, g, args.orbits)
     return _checked(CodeSpec, field, support, g, args.eta)
 
@@ -194,10 +195,7 @@ def _cmd_sweep(args) -> int:
         )
 
     if args.format == "csv":
-        if args.out:
-            write_trials_csv(result.records, args.out)
-        else:
-            write_trials_csv(result.records, sys.stdout)
+        write_trials_csv(result.records, args.out or sys.stdout)
     else:
         payload = sweep_result_to_dict(result)
         payload["reports"].extend(bad_entries)

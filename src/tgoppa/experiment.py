@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 from .affine_support import build_support, choose_multiplier, validate_orbit_params
 from .errors import InternalConsistencyError, RejectionCapError, TrialError
 from .galois import Field, _check_int, _read_int, make_field
-from .goppa import CodeSpec, dimension
+from .goppa import CodeSpec, _check_degree, dimension
 from .polyring import Poly, is_root_free
 
 REJECTION_CAP = 10_000
@@ -279,8 +279,14 @@ def record_to_dict(record: TrialRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> TrialRecord:
-    ints = {key: _read_int(data[key], key) for key in ("a", "n", "eta", "k", "seed")}
-    return TrialRecord(params=ParamSet.from_dict(data["params"]), g=data["g"], **ints)
+    """A record whose cells meet the package's rules: g is degree-t text over P's field
+    (kept as read), eta an element, seed >= 0 and 0 <= k <= n.  Not a replay."""
+    a, n, eta, k, seed = (_read_int(data[key], key) for key in ("a", "n", "eta", "k", "seed"))
+    params = ParamSet.from_dict(data["params"])
+    field = make_field(params.q, params.m)
+    _check_degree(Poly.from_string(field, data["g"]), params.t)
+    return TrialRecord(params, a, n, data["g"], field.check(eta), _check_int(k, "k", 0, n),
+                       _check_int(seed, "seed", 0))
 
 
 def report_to_dict(report: DeterminismReport) -> dict:

@@ -16,8 +16,9 @@ Each spec computes its residues once, straight into t row-major rows:
 row j holds the x^j coefficient of every column, as a compact stdlib
 ``array`` of the smallest unsigned typecode that holds q^m - 1, exposed
 through a read-only ``memoryview`` because the spec caches it.  The
-rows are the only cached residue form: the per-column view
-``residues()`` is derived from them on each call and is not cached.
+spec also keeps g(alpha_i) as such a row, from the one evaluation of g
+per point that validation makes.  The residue rows are the only cached
+residue form: ``residues()`` derives the per-column view on each call.
 
 Dimension is computed over GF(q): the t x n matrix of residue
 coefficients over GF(q^m) is expanded digit-wise into an mt x n matrix
@@ -55,42 +56,43 @@ def _typecode(order: int) -> str:
     return next(c for c in "BHILQ" if order <= 1 << 8 * array(c).itemsize)
 
 
+def _check_degree(g: Poly, t) -> None:
+    """The one rule for a stated Goppa degree: t must be an int equal to deg g."""
+    if _check_int(t, "t") != g.degree:
+        raise InvalidSpecError(f"g has degree {g.degree}, expected t={t}")
+
+
 class CodeSpec:
     """One twisted Goppa code instance; validated on construction."""
 
-    __slots__ = ("field", "support", "g", "eta", "_rows")
+    __slots__ = ("field", "support", "g", "eta", "_g_values", "_rows")
 
     def __init__(self, field: Field, support, g: Poly, eta: int):
         if g.field != field:
             raise InvalidSpecError("g must be a polynomial over the code's field")
         if g.degree < 1:
             raise InvalidSpecError("g must have degree >= 1")
+        support = tuple(support)
+        seen = bytearray(field.order)  # 1 byte per element, not a set of n ints
         try:
             field.check(eta)
+            for x in support:
+                seen[field.check(x)] = 1
         except ValueError as exc:
             raise InvalidSpecError(str(exc)) from None
-        support = tuple(support)
         if not support:
             raise InvalidSpecError("support must be nonempty")
-        # One walk: range check, duplicate mark and root scan per point.
-        seen = bytearray(field.order)
-        bad = []
-        for x in support:
-            try:
-                field.check(x)
-            except ValueError as exc:
-                raise InvalidSpecError(str(exc)) from None
-            if seen[x]:
-                raise InvalidSpecError("support points must be distinct")
-            seen[x] = 1
-            if g(x) == 0:
-                bad.append(x)
+        if seen.count(1) != len(support):
+            raise InvalidSpecError("support points must be distinct")
+        g_values = array(_typecode(field.order), map(g, support))  # g(alpha) once per point
+        bad = [x for x, v in zip(support, g_values) if not v]
         if bad:
             raise InvalidSpecError(f"g vanishes on support points {bad}")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "_g_values", memoryview(g_values).toreadonly())
         object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
@@ -159,16 +161,14 @@ class ParityMatrix:
 
 
 def twist_residue(spec: CodeSpec, index: int) -> Poly:
-    """Column residue h_i = (x - alpha_i)^-1 - eta*alpha_i^t/g(alpha_i) mod g; the constant
-    twist term is subtracted from the (nonzero) inverse's constant coefficient in place."""
+    """Column residue h_i = (x - alpha_i)^-1 - eta*alpha_i^t/g(alpha_i) mod g, g(alpha_i) from
+    the spec; the twist constant (0 if eta or alpha_i is 0) edits the inverse's constant slot."""
     if not 0 <= index < spec.n:
         raise IndexError(f"column index {index} out of range [0, {spec.n})")
     F = spec.field
     alpha = spec.support[index]  # validated by CodeSpec, so no Field.check below
     base = modinv(Poly._computed(F, [F.neg(alpha), 1]), spec.g)
-    if spec.eta == 0 or alpha == 0:
-        return base
-    twist = F.mul(spec.eta, F.mul(F.pow(alpha, spec.t), F.inv(spec.g(alpha))))
+    twist = F.mul(spec.eta, F.mul(F.pow(alpha, spec.t), F.inv(spec._g_values[index])))
     return Poly._computed(F, [F.sub(base.coeffs[0], twist), *base.coeffs[1:]])
 
 
@@ -349,8 +349,8 @@ def spec_to_json(spec: CodeSpec) -> dict:
 def spec_from_json(data: dict) -> CodeSpec:
     field = Field.from_json(data)
     g = Poly.from_string(field, data["g"])
-    if "t" in data and g.degree != _check_int(data["t"], "t"):
-        raise InvalidSpecError(f"g has degree {g.degree}, expected t={data['t']}")
+    if "t" in data:
+        _check_degree(g, data["t"])
     return CodeSpec(field, data["support"], g, data["eta"])
 
 

@@ -270,6 +270,20 @@ def test_u1_with_roots_excluded():
     assert build_support(F16, 0, 1, g) == list(range(1, 16))
 
 
+@pytest.mark.parametrize("field", [F4, F8, F9], ids=["GF(4)", "GF(8)", "GF(9)"])
+def test_identity_support_equals_the_non_root_scan(field):
+    """The identity (b = 0, u = 1) takes the orbit walk of every (b, u); its orbits are
+    single points, so it keeps the old scan's support, the non-roots of g in ascending
+    order, for every nonzero g of degree <= 2, with roots or without."""
+    for coeffs in itertools.product(field.elements(), repeat=3):
+        g = Poly(field, coeffs)
+        if g.is_zero:
+            continue
+        scan = [x for x in field.elements() if g(x) != 0]  # the oracle
+        for max_orbits in (None, 1, 3):
+            assert build_support(field, 0, 1, g, max_orbits) == scan[:max_orbits], g
+
+
 def test_max_orbits_filter():
     assert support_orbits(F4, 1, 2, G4, max_orbits=1) == [[0, 1]]
     assert build_support(F4, 0, 1, G4, max_orbits=2) == [0, 1]

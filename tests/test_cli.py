@@ -4,7 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from tgoppa import InternalConsistencyError, cli, experiment
+from tgoppa import (
+    CodeSpec,
+    InternalConsistencyError,
+    InvalidSpecError,
+    Poly,
+    cli,
+    experiment,
+    make_field,
+    spec_from_json,
+    spec_to_json,
+)
 from tgoppa.cli import main
 
 from conftest import sampler_failing_at_degree
@@ -45,9 +55,16 @@ def test_usage_error_on_non_prime_q(capsys):
 
 
 def test_usage_error_on_t_mismatch(capsys):
+    """--t and a spec JSON's "t" meet one check, so they report one message."""
     with pytest.raises(SystemExit) as exc:
         main(["dim", "--q", "2", "--m", "2", "--t", "3", "--g", "2,1,1", "--eta", "1"])
     assert exc.value.code == 2
+    field = make_field(2, 2)
+    with pytest.raises(InvalidSpecError) as lib:
+        spec_from_json({**spec_to_json(CodeSpec(field, (0, 1, 2, 3), Poly(field, (2, 1, 1)), 1)),
+                        "t": 3})
+    assert str(lib.value) == "g has degree 2, expected t=3"
+    assert capsys.readouterr().err.endswith(f"tgoppa: error: {lib.value}\n")
 
 
 def test_usage_error_translation_order_rule(capsys, tmp_path, monkeypatch):

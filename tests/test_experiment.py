@@ -173,7 +173,7 @@ BAD_TEXT = ("1_0", " 10", "\u0661\u0660", "+10", "10 ", "-", "")  # \u0661\u0660
 def test_decimal_text_rule_at_every_text_entry_point():
     """CSV cells, grid-entry strings and polynomial text all read exactly ASCII digits
     with an optional leading '-': 10 and -3 are read as ints (and -3 then meets the
-    range rule of its field), Python-int() extras are rejected before any check."""
+    range rule of its cell or field), Python-int() extras are rejected before any check."""
     import csv
 
     row = next(csv.DictReader(io.StringIO(trials_csv_text(sweep([ParamSet(2, 4, 3, 10, 3)],
@@ -198,9 +198,9 @@ def test_decimal_text_rule_at_every_text_entry_point():
         for bad in BAD_TEXT:
             with pytest.raises(ValueError, match="decimal digits"):
                 read(bad)
-    assert csv_with("k", "-3").k == -3
-    for read, error in zip(readers[1:], ("translation b must be an int >= 0",) * 2
-                                         + ("not an element encoding",)):
+    for read, error in zip(readers, ("k must be an int >= 0 and <= 15",)
+                                    + ("translation b must be an int >= 0",) * 2
+                                    + ("not an element encoding",)):
         with pytest.raises(ValueError, match=f"{error}.*-3"):
             read("-3")
 
@@ -416,23 +416,61 @@ def test_csv_header_and_single_row():
 
 
 def test_csv_round_trip_many_records():
+    """Records whose cells meet the read rules (degree-t g, eta in the field, 0 <= k <= n,
+    seed >= 0) read back equal; a and n are not checked on read."""
     rng = random.Random(8)
     params_pool = [ParamSet(2, 2, 2, 1, 2), ParamSet(2, 4, 3, 10, 3),
                    ParamSet(3, 2, 2, 4, 3)]
-    records = [
-        TrialRecord(
-            params=params_pool[rng.randrange(3)],
+    records = []
+    for _ in range(1000):
+        params = params_pool[rng.randrange(3)]
+        order = params.q**params.m
+        coeffs = [rng.randrange(order) for _ in range(params.t)] + [rng.randrange(1, order)]
+        n = rng.randrange(1, 20)
+        records.append(TrialRecord(
+            params=params,
             a=rng.randrange(1, 16),
-            n=rng.randrange(1, 20),
-            g=",".join(str(rng.randrange(16)) for _ in range(rng.randrange(1, 6))),
-            eta=rng.randrange(16),
-            k=rng.randrange(20),
+            n=n,
+            g=",".join(map(str, coeffs)),
+            eta=rng.randrange(order),
+            k=rng.randrange(n + 1),
             seed=rng.randrange(2**64),
-        )
-        for _ in range(1000)
-    ]
+        ))
     buf = io.StringIO(trials_csv_text(records))
     assert read_trials_csv(buf) == records
+
+
+def test_csv_cell_that_breaks_a_read_rule_is_rejected():
+    """One bad g, eta, k or seed cell in an otherwise true row raises ValueError."""
+    import csv
+
+    row = next(csv.DictReader(io.StringIO(trials_csv_text(sweep([ParamSet(2, 4, 3, 10, 3)],
+                                                                 1, 5).records))))
+    assert row["n"] == "15"
+    bad_cells = [
+        ("g", "1_0, x", "decimal digits"),
+        ("g", "8,11,1", "g has degree 2, expected t=3"),
+        ("g", "8,11,0,14,1", "g has degree 4, expected t=3"),
+        ("g", "8,11,0,16", "not an element encoding"),
+        ("g", "8,11,0,14,0", None),  # trailing zero: degree 3, reads back
+        ("eta", "99999", "not an element encoding"),
+        ("eta", "16", "not an element encoding"),
+        ("k", "-7", "k must be an int >= 0 and <= 15, got -7"),
+        ("k", "16", "k must be an int >= 0 and <= 15, got 16"),
+        ("seed", "-1", "seed must be an int >= 0, got -1"),
+    ]
+    for key, cell, error in bad_cells:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, CSV_FIELDS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerow({**row, key: cell})
+        if error is None:
+            assert read_trials_csv(io.StringIO(buf.getvalue()))[0].g == cell
+            continue
+        with pytest.raises(ValueError, match=error):
+            read_trials_csv(io.StringIO(buf.getvalue()))
+    for key, edge in (("k", "0"), ("k", "15"), ("eta", "0"), ("eta", "15"), ("seed", "0")):
+        assert str(getattr(record_from_dict({**row, "params": row, key: edge}), key)) == edge
 
 
 def test_csv_rejects_wrong_header():

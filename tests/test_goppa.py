@@ -153,6 +153,23 @@ def test_twist_residue_is_classical_residue_minus_twist_constant(spec):
         assert twist_residue(spec, i) == modinv(Poly.linear(F, alpha), g) - twist
 
 
+def test_a_code_evaluates_g_once_per_support_point(monkeypatch):
+    """Building a twisted spec over a whole field and its rows calls g n times in all:
+    CodeSpec's root check evaluates it once per point and the residues reuse those."""
+    g = Poly(F16, (1, 0, 1, 1))  # x^3 + x^2 + 1, root-free over GF(16)
+    calls = []
+    evaluate = Poly.__call__
+
+    def counting(self, a):
+        calls.append(a)
+        return evaluate(self, a)
+
+    monkeypatch.setattr(Poly, "__call__", counting)
+    spec = CodeSpec(F16, F16.elements(), g, 5)
+    spec.rows()
+    assert sorted(calls) == list(F16.elements())  # n = 16, not 2n - 1
+
+
 def test_ext_rows_are_the_specs_read_only_rows():
     pm = parity_matrix(WORKED)
     assert pm.ext_rows is WORKED.rows()
