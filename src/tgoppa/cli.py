@@ -32,7 +32,6 @@ from .goppa import (
     is_codeword,
     matrix_to_json,
     parity_matrix,
-    rank,
     spec_to_json,
 )
 from .polyring import Poly
@@ -102,12 +101,12 @@ def _cmd_support(args) -> int:
 
 def _cmd_dim(args) -> int:
     spec = _build_spec(args)
-    pm = parity_matrix(spec)
-    r = rank(pm)
-    out = {"n": spec.n, "mt": spec.field.m * spec.t, "rank": r, "k": spec.n - r}
+    k = dimension(spec)
+    out = {"n": spec.n, "mt": spec.field.m * spec.t, "rank": spec.n - k, "k": k}
     print(_json_line(out))
     if args.out:
-        _write_json(args.out, {**out, "spec": spec_to_json(spec), "matrix": matrix_to_json(pm)})
+        _write_json(args.out, {**out, "spec": spec_to_json(spec),
+                               "matrix": matrix_to_json(parity_matrix(spec))})
     return EXIT_OK
 
 

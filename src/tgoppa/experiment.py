@@ -134,14 +134,7 @@ def run_trial(params: ParamSet, seed: int, *, allow_zero_eta: bool = False) -> T
     eta = random_eta(field, rng, allow_zero=allow_zero_eta)
     support = build_support(field, params.b, params.u, g)
     spec = CodeSpec(field, support, g, eta)
-    k = dimension(spec)
-    n = len(support)
-    if not max(0, n - params.m * params.t) <= k <= n:
-        raise InternalConsistencyError(
-            f"dimension {k} escapes [max(0, n - mt), n] for n={n}, "
-            f"mt={params.m * params.t}"
-        )
-    return TrialRecord(params, a, n, g.to_string(), eta, k, seed)
+    return TrialRecord(params, a, spec.n, g.to_string(), eta, dimension(spec), seed)
 
 
 def run_trials(
@@ -169,6 +162,9 @@ def run_trials(
 def summarize(params: ParamSet, records: list[TrialRecord]) -> DeterminismReport:
     if not records:
         raise ValueError("cannot summarize an empty trial list")
+    other = next((r.params for r in records if r.params != params), None)
+    if other is not None:
+        raise ValueError(f"a record of {other} cannot be summarized under {params}")
     lengths = {r.n for r in records}
     if len(lengths) != 1:
         raise InternalConsistencyError(
@@ -279,13 +275,16 @@ def record_to_dict(record: TrialRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> TrialRecord:
-    """A record whose cells meet the package's rules: g is degree-t text over P's field
-    (kept as read), eta an element, seed >= 0 and 0 <= k <= n.  Not a replay."""
+    """A record whose cells meet the package's rules: g is degree-t text over P's field (kept
+    as ``Poly.to_string`` writes it), eta an element, seed >= 0 and k in the range of
+    :func:`dimension`, [max(0, n - mt), n].  Not a replay."""
     a, n, eta, k, seed = (_read_int(data[key], key) for key in ("a", "n", "eta", "k", "seed"))
     params = ParamSet.from_dict(data["params"])
     field = make_field(params.q, params.m)
-    _check_degree(Poly.from_string(field, data["g"]), params.t)
-    return TrialRecord(params, a, n, data["g"], field.check(eta), _check_int(k, "k", 0, n),
+    g = Poly.from_string(field, data["g"])
+    _check_degree(g, params.t)
+    return TrialRecord(params, a, n, g.to_string(), field.check(eta),
+                       _check_int(k, "k", max(0, n - params.m * params.t), n),
                        _check_int(seed, "seed", 0))
 
 
@@ -344,10 +343,17 @@ def read_trials_csv(src) -> list[TrialRecord]:
     if isinstance(src, (str, os.PathLike)):
         with open(src, "r", newline="") as f:
             return read_trials_csv(f)
-    reader = csv.DictReader(src)
-    if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_FIELDS:
-        raise ValueError(f"unexpected CSV header: {reader.fieldnames}")
-    return [record_from_dict({**row, "params": row}) for row in reader]
+    reader = csv.reader(src)
+    header = next(reader, None)
+    if header is None or tuple(header) != CSV_FIELDS:
+        raise ValueError(f"unexpected CSV header: {header}")
+    records = []
+    for cells in reader:
+        if len(cells) != len(header):
+            raise ValueError(f"CSV line {reader.line_num}: {len(cells)} cells, not {len(header)}")
+        row = dict(zip(CSV_FIELDS, cells))
+        records.append(record_from_dict({**row, "params": row}))
+    return records
 
 
 def trials_csv_text(records) -> str:

@@ -7,7 +7,7 @@ modulus.  Encodings ``0 .. q-1`` are therefore exactly the prime
 subfield, and for ``q == 2`` an encoding is the familiar bitmask
 representation with XOR as addition.
 
-:func:`make_field` always picks the canonical modulus: scanning monic
+There is one GF(q^m) per (q, m), over the canonical modulus: scanning monic
 degree-m polynomials by the integer encoding ``sum(c_j * q**j)`` of
 their non-leading coefficients, the first irreducible one wins.  Every
 run of the library therefore agrees on every element encoding, which
@@ -189,29 +189,18 @@ def _canonical_modulus(q: int, m: int) -> tuple[int, ...]:
 
 
 class Field:
-    """GF(q^m) for prime q, with integer-encoded elements.
-
-    With no modulus the canonical one is used; a given modulus must be
-    monic, irreducible and of degree m.  Arithmetic methods take and
-    return encodings; they assume their arguments are valid (use
-    :meth:`check` at trust boundaries).
+    """GF(q^m) for prime q over the canonical modulus, integer-encoded; :func:`make_field`
+    caches one per (q, m).  Arithmetic methods take and return encodings; they assume their
+    arguments are valid (use :meth:`check` at trust boundaries).
     """
 
     __slots__ = ("q", "m", "modulus", "order", "_mod_mask", "_span_primes", "_exp", "_log", "_zech")
 
-    def __init__(self, q: int, m: int, modulus=None):
+    def __init__(self, q: int, m: int):
         validate_field_params(q, m)
-        if modulus is None:
-            modulus = _canonical_modulus(q, m)  # irreducible by construction
-        else:
-            modulus = tuple(_check_int(c, "modulus coefficient", 0, q - 1) for c in modulus)
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree exactly m")
-            if not _is_irreducible(modulus, q):
-                raise ValueError(f"modulus {list(modulus)} is reducible over GF({q})")
         self.q = q
         self.m = m
-        self.modulus = modulus
+        self.modulus = modulus = _canonical_modulus(q, m)
         self.order = q**m
         self._span_primes = _prime_factors(self.order - 1)  # mult_order and the generator
         self._mod_mask = sum(c << j for j, c in enumerate(modulus)) if q == 2 else 0
@@ -229,17 +218,22 @@ class Field:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Field):
             return NotImplemented
-        return (self.q, self.m, self.modulus) == (other.q, other.m, other.modulus)
+        return (self.q, self.m) == (other.q, other.m)
 
     def __hash__(self) -> int:
-        return hash((self.q, self.m, self.modulus))
+        return hash((self.q, self.m))
 
     def to_json(self) -> dict:
         return {"q": self.q, "m": self.m, "modulus": list(self.modulus)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Field":
-        return cls(data["q"], data["m"], data["modulus"])
+    @staticmethod
+    def from_json(data: dict) -> "Field":
+        """``make_field(q, m)``, if the document states that field's modulus in integer cells."""
+        field = make_field(data["q"], data["m"])
+        stated = [_check_int(c, "modulus coefficient", 0, field.q - 1) for c in data["modulus"]]
+        if stated != list(field.modulus):
+            raise ValueError(f"modulus {stated} is not the canonical {list(field.modulus)}")
+        return field
 
     # -- element plumbing ----------------------------------------------
 

@@ -242,8 +242,11 @@ def rank(pm: ParityMatrix) -> int:
 
 
 def dimension(spec: CodeSpec) -> int:
-    """k = n - rank; always within [max(0, n - mt), n]."""
-    return spec.n - rank(parity_matrix(spec))
+    """k = n - rank; InternalConsistencyError if k leaves [max(0, n - mt), n]."""
+    k, n, mt = spec.n - rank(parity_matrix(spec)), spec.n, spec.field.m * spec.t
+    if not max(0, n - mt) <= k <= n:
+        raise InternalConsistencyError(f"dimension {k} escapes [max(0, n - mt), n], n={n}, mt={mt}")
+    return k
 
 
 def kernel_basis(spec: CodeSpec) -> list[tuple[int, ...]]:

@@ -10,7 +10,9 @@ from tgoppa import (
     InvalidSpecError,
     Poly,
     cli,
+    dimension,
     experiment,
+    goppa,
     make_field,
     spec_from_json,
     spec_to_json,
@@ -181,6 +183,47 @@ def test_dim_out_file(capsys, tmp_path):
     assert doc["k"] == 2
     assert doc["spec"]["g"] == "2,1,1"
     assert doc["matrix"]["ext_rows"] == [[3, 3, 0, 0], [3, 3, 2, 2]]
+
+
+GF16_DIM_ARGS = ["dim", "--q", "2", "--m", "4", "--t", "3", "--g", "15,14,7,3", "--eta", "1"]
+
+
+def test_dim_out_spec_reads_back_over_the_cached_field(capsys, tmp_path, monkeypatch):
+    """A `dim --out` spec reads back over make_field(q, m) itself.  A GF(16) document
+    stating any other modulus is rejected before a code is built."""
+    out_path = tmp_path / "dim.json"
+    code, out, _ = run(capsys, GF16_DIM_ARGS + ["--out", str(out_path)])
+    assert code == 0
+    doc = json.loads(out_path.read_text())["spec"]
+    spec = spec_from_json(doc)
+    assert spec.field is make_field(2, 4)
+    assert dimension(spec) == json.loads(out)["k"]
+
+    def no_code(*args):
+        raise AssertionError("a code was built")
+
+    monkeypatch.setattr(goppa, "CodeSpec", no_code)
+    for modulus, error in [
+        ([1, 1, 1, 1, 1], "not the canonical"),  # irreducible
+        ([1, 0, 1, 0, 1], "not the canonical"),  # (x^2 + x + 1)^2
+        ([1, 1, 0, 1], "not the canonical"),  # degree 3
+        ([1, 1, 0, 0, True], "modulus coefficient must be an int"),
+    ]:
+        with pytest.raises(ValueError, match=error):
+            spec_from_json({**doc, "modulus": modulus})
+
+
+def test_rank_above_mt_exits_4(capsys, monkeypatch):
+    """dimension owns the range [max(0, n - mt), n] of k, so a rank above mt is an
+    internal error: dimension raises it and `dim` and `oracle-dim` exit 4."""
+    monkeypatch.setattr(goppa, "rank", lambda pm: pm.m * pm.t + 1)
+    field = make_field(2, 4)
+    with pytest.raises(InternalConsistencyError, match="dimension 3 escapes"):
+        dimension(CodeSpec(field, field.elements(), Poly.from_string(field, "15,14,7,3"), 1))
+    for argv in (DIM_ARGS, GF16_DIM_ARGS, ["oracle-dim", *GF16_DIM_ARGS[1:]]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (4, ""), argv
+        assert "internal error: dimension" in err
 
 
 def test_member_true_and_false(capsys):

@@ -112,7 +112,7 @@ def test_integer_rule_at_every_boundary(monkeypatch):
     boundaries = [
         lambda v: validate_field_params(v, 4),
         lambda v: validate_field_params(2, v),
-        lambda v: Field(2, 2, (v, 1, 1)),  # modulus coefficient
+        lambda v: Field.from_json({"q": 2, "m": 2, "modulus": [v, 1, 1]}),  # modulus cell
         F16.check,
         lambda v: F16.from_digits((v, 0, 0, 0)),
         lambda v: Poly(F16, (v, 1)),
@@ -198,7 +198,7 @@ def test_decimal_text_rule_at_every_text_entry_point():
         for bad in BAD_TEXT:
             with pytest.raises(ValueError, match="decimal digits"):
                 read(bad)
-    for read, error in zip(readers, ("k must be an int >= 0 and <= 15",)
+    for read, error in zip(readers, ("k must be an int >= 3 and <= 15",)
                                     + ("translation b must be an int >= 0",) * 2
                                     + ("not an element encoding",)):
         with pytest.raises(ValueError, match=f"{error}.*-3"):
@@ -207,10 +207,10 @@ def test_decimal_text_rule_at_every_text_entry_point():
 
 def test_range_rule_at_every_range_site():
     """Modulus coefficients, digits, word entries, b and u are range-checked by the integer
-    rule: the first value past either end is rejected, the ends themselves are accepted."""
+    rule: the first value past either end is rejected, the ends themselves are accepted
+    (for the modulus, only the canonical document)."""
     spec = CodeSpec(F16, (0, 1), random_root_free_poly(F16, 3, random.Random(1)), 1)
     sites = [
-        (lambda v: Field(2, 3, (1, v, 1 - v, 1)), 0, 1),  # x^3 + x^2 + 1, x^3 + x + 1
         (lambda v: F16.from_digits((v, 0, 0, 0)), 0, 1),
         (lambda v: is_codeword(spec, (v, 0)), 0, 1),
         (lambda v: validate_orbit_params(2, 4, 3, v), 0, 15),
@@ -226,8 +226,18 @@ def test_range_rule_at_every_range_site():
         for v in bad:
             with pytest.raises(ValueError, match=f"must be an int >= .*got {v}"):
                 site(v)
+
+    def f8_with(v):  # the canonical GF(8) modulus is x^3 + x + 1
+        return Field.from_json({"q": 2, "m": 3, "modulus": [1, 1, v, 1]})
+
+    assert f8_with(0) is make_field(2, 3)
+    with pytest.raises(ValueError, match="not the canonical"):
+        f8_with(1)  # x^3 + x^2 + x + 1, in range but not canonical
+    for v in (-1, 2):
+        with pytest.raises(ValueError, match=f"coefficient must be an int >= 0 and <= 1, got {v}"):
+            f8_with(v)
     with pytest.raises(ValueError, match="modulus coefficient must be an int >= 0 and <= 2"):
-        Field(3, 2, (-1, 0, 1))
+        Field.from_json({"q": 3, "m": 2, "modulus": [-1, 0, 1]})
 
 
 @pytest.mark.parametrize("args", [(2.5, 3, 1, 0), (4, 2, 1, 0), (2, 0, 1, 0), (2, 21, 1, 0),
@@ -416,8 +426,8 @@ def test_csv_header_and_single_row():
 
 
 def test_csv_round_trip_many_records():
-    """Records whose cells meet the read rules (degree-t g, eta in the field, 0 <= k <= n,
-    seed >= 0) read back equal; a and n are not checked on read."""
+    """Records whose cells meet the read rules (degree-t g, eta in the field,
+    max(0, n - mt) <= k <= n, seed >= 0) read back equal; a and n are not checked on read."""
     rng = random.Random(8)
     params_pool = [ParamSet(2, 2, 2, 1, 2), ParamSet(2, 4, 3, 10, 3),
                    ParamSet(3, 2, 2, 4, 3)]
@@ -433,7 +443,7 @@ def test_csv_round_trip_many_records():
             n=n,
             g=",".join(map(str, coeffs)),
             eta=rng.randrange(order),
-            k=rng.randrange(n + 1),
+            k=rng.randrange(max(0, n - params.m * params.t), n + 1),
             seed=rng.randrange(2**64),
         ))
     buf = io.StringIO(trials_csv_text(records))
@@ -441,22 +451,26 @@ def test_csv_round_trip_many_records():
 
 
 def test_csv_cell_that_breaks_a_read_rule_is_rejected():
-    """One bad g, eta, k or seed cell in an otherwise true row raises ValueError."""
+    """One bad g, eta, k or seed cell in an otherwise true row raises ValueError.  g is
+    stored as Poly.to_string writes it, so a true g with padded digits or a trailing zero
+    coefficient reads back as the record run_trial wrote."""
     import csv
 
-    row = next(csv.DictReader(io.StringIO(trials_csv_text(sweep([ParamSet(2, 4, 3, 10, 3)],
-                                                                 1, 5).records))))
+    records = sweep([ParamSet(2, 4, 3, 10, 3)], 1, 5).records
+    row = next(csv.DictReader(io.StringIO(trials_csv_text(records))))
     assert row["n"] == "15"
     bad_cells = [
         ("g", "1_0, x", "decimal digits"),
         ("g", "8,11,1", "g has degree 2, expected t=3"),
         ("g", "8,11,0,14,1", "g has degree 4, expected t=3"),
         ("g", "8,11,0,16", "not an element encoding"),
-        ("g", "8,11,0,14,0", None),  # trailing zero: degree 3, reads back
+        ("g", "15,14,7,3,0", None),  # trailing zero: degree 3
+        ("g", "015,14,7,03", None),  # padded digits, read by the text rule
         ("eta", "99999", "not an element encoding"),
         ("eta", "16", "not an element encoding"),
-        ("k", "-7", "k must be an int >= 0 and <= 15, got -7"),
-        ("k", "16", "k must be an int >= 0 and <= 15, got 16"),
+        ("k", "-7", "k must be an int >= 3 and <= 15, got -7"),
+        ("k", "2", "k must be an int >= 3 and <= 15, got 2"),  # n - mt = 15 - 12
+        ("k", "16", "k must be an int >= 3 and <= 15, got 16"),
         ("seed", "-1", "seed must be an int >= 0, got -1"),
     ]
     for key, cell, error in bad_cells:
@@ -465,12 +479,33 @@ def test_csv_cell_that_breaks_a_read_rule_is_rejected():
         writer.writeheader()
         writer.writerow({**row, key: cell})
         if error is None:
-            assert read_trials_csv(io.StringIO(buf.getvalue()))[0].g == cell
+            assert read_trials_csv(io.StringIO(buf.getvalue())) == records
+            assert records[0].g == "15,14,7,3"
             continue
         with pytest.raises(ValueError, match=error):
             read_trials_csv(io.StringIO(buf.getvalue()))
-    for key, edge in (("k", "0"), ("k", "15"), ("eta", "0"), ("eta", "15"), ("seed", "0")):
+    for key, edge in (("k", "3"), ("k", "15"), ("eta", "0"), ("eta", "15"), ("seed", "0")):
         assert str(getattr(record_from_dict({**row, "params": row, key: edge}), key)) == edge
+
+
+def test_csv_row_with_another_cell_count_is_rejected():
+    """A row must have exactly the 11 cells the writer gives it; the error names its line."""
+    records = sweep([ParamSet(2, 4, 3, 10, 3)], 2, 5).records
+    header, first, second = trials_csv_text(records).splitlines()
+    assert read_trials_csv(io.StringIO(f"{header}\n{first}\n{second}\n")) == records
+    for bad, cells in ((second + ",999,junk", 13), (second.rsplit(",", 1)[0], 10), ("", 0)):
+        text = f"{header}\n{first}\n{bad}\n"
+        with pytest.raises(ValueError, match=f"CSV line 3: {cells} cells, not 11"):
+            read_trials_csv(io.StringIO(text))
+
+
+def test_summarize_rejects_records_of_another_param_set():
+    records = run_trials(ParamSet(2, 4, 3, 10, 3), 4, 5)
+    assert summarize(ParamSet(2, 4, 3, 10, 3), records).n == 15
+    with pytest.raises(ValueError, match="cannot be summarized under"):
+        summarize(ParamSet(2, 4, 2, 0, 1), records)
+    with pytest.raises(ValueError, match="cannot be summarized under"):
+        summarize(ParamSet(2, 4, 3, 10, 3), records + run_trials(ParamSet(2, 4, 3, 1, 2), 1, 5))
 
 
 def test_csv_rejects_wrong_header():

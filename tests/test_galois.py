@@ -287,28 +287,31 @@ def test_check_rejects_out_of_range():
 
 
 def test_json_round_trip_and_custom_modulus():
+    """Field.from_json is make_field(q, m) of a document that states the canonical
+    modulus in integer cells; no other modulus configures a field."""
     doc = F16.to_json()
     assert doc == {"q": 2, "m": 4, "modulus": [1, 1, 0, 0, 1]}
-    again = Field.from_json(doc)
-    assert again == F16
-    # x^4 + x^3 + x^2 + x + 1 is also irreducible over GF(2): accepted
-    alt = Field(2, 4, (1, 1, 1, 1, 1))
-    assert alt != F16
-    # x^4 + x^2 + 1 = (x^2 + x + 1)^2 is reducible: rejected
-    with pytest.raises(ValueError):
-        Field(2, 4, (1, 0, 1, 0, 1))
-    with pytest.raises(ValueError):
-        Field(2, 4, (1, 1, 0, 0, 2))  # coefficient out of range
-    with pytest.raises(ValueError):
-        Field(2, 4, (1, 1, 0, 1))  # wrong degree
+    assert Field.from_json(doc) is F16
+    assert galois._is_irreducible((1, 1, 1, 1, 1), 2)  # x^4 + x^3 + x^2 + x + 1
+    for modulus, error in [
+        ((1, 1, 1, 1, 1), "not the canonical"),  # irreducible, but not the canonical one
+        ((1, 0, 1, 0, 1), "not the canonical"),  # (x^2 + x + 1)^2, reducible
+        ((1, 1, 0, 1), "not the canonical"),  # wrong degree
+        ((1, 1, 0, 0, 2), "modulus coefficient must be an int >= 0 and <= 1, got 2"),
+        ((1, 1, 0, 0, True), "modulus coefficient must be an int"),  # True == 1
+        ((1.0, 1, 0, 0, 1), "modulus coefficient must be an int"),  # 1.0 == 1
+    ]:
+        with pytest.raises(ValueError, match=error):
+            Field.from_json({**doc, "modulus": list(modulus)})
+    with pytest.raises(TypeError):
+        Field(2, 4, (1, 1, 0, 0, 1))  # no modulus parameter
 
 
 def test_field_equality_and_cache():
     assert make_field(2, 4) is F16
     with pytest.raises(NotPrimeError):
         make_field(2.0, 4)  # equal to a cached key, but not an int
-    assert Field(2, 4, (1, 1, 0, 0, 1)) == F16
-
+    assert Field(2, 4) == F16
 
 
 def _raw_generator(F):
