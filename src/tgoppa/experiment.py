@@ -352,7 +352,11 @@ def read_trials_csv(src) -> list[TrialRecord]:
         if len(cells) != len(header):
             raise ValueError(f"CSV line {reader.line_num}: {len(cells)} cells, not {len(header)}")
         row = dict(zip(CSV_FIELDS, cells))
-        records.append(record_from_dict({**row, "params": row}))
+        try:
+            records.append(record_from_dict({**row, "params": row}))
+        except ValueError as exc:  # the rule's own error, naming the line
+            exc.args = (f"CSV line {reader.line_num}: {exc}",)
+            raise
     return records
 
 

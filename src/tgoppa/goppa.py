@@ -22,10 +22,11 @@ residue form: ``residues()`` derives the per-column view on each call.
 
 Dimension is computed over GF(q): the t x n matrix of residue
 coefficients over GF(q^m) is expanded digit-wise into an mt x n matrix
-over GF(q) (polynomial-basis coordinates) and eliminated exactly, so
-k = n - rank.  The rank reads the residue rows directly, without the
-digit tuples: bitmasks for q = 2, one byte per digit for odd q.  The
-tuples (``ParityMatrix.base_rows``) serve only the nullspace and JSON.
+over GF(q) (polynomial-basis coordinates), so k = n - rank.
+``dimension`` streams its columns from the residue rows into an exact
+elimination that stops once the rank reaches a proved upper bound:
+min(n, mt), or min(n, mt - (m - 1)) at the deviant twist eta*.  The digit
+rows (``ParityMatrix.base_rows``) serve the nullspace, JSON and :func:`rank`.
 ``brute_force_dimension`` recomputes k by enumerating all q^n words
 against the defining congruence and is deliberately independent of the
 elimination path.
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import sys
 from array import array
 from dataclasses import dataclass
 
@@ -146,7 +146,8 @@ class ParityMatrix:
     rows are the spec's compact read-only rows (``CodeSpec.rows``),
     shared, not copied.  base_rows has m rows per ext row (digit l of ext
     row j lands in base row j*m + l), so base_rows is mt x n over GF(q).
-    base_rows is derived from ext_rows on first access and then cached.
+    base_rows is expanded from ext_rows on first access and then cached;
+    ``dimension`` never builds it.
     """
 
     q: int
@@ -157,7 +158,8 @@ class ParityMatrix:
 
     @functools.cached_property
     def base_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, _digit_rows(self)))
+        q, ext_rows = self.q, self.ext_rows
+        return tuple(tuple(a // q**l % q for a in row) for row in ext_rows for l in range(self.m))
 
 
 def twist_residue(spec: CodeSpec, index: int) -> Poly:
@@ -176,74 +178,57 @@ def parity_matrix(spec: CodeSpec) -> ParityMatrix:
     return ParityMatrix(spec.field.q, spec.field.m, spec.t, spec.n, spec.rows())
 
 
-def _little_endian(row) -> memoryview:
-    """The bytes of a compact row with every cell little-endian.
-
-    A big-endian host reads a byteswapped copy of the row.
-    """
-    if sys.byteorder == "big":
-        row = array(row.format, row)
-        row.byteswap()
-    return memoryview(row).cast("B")
-
-
-def _digit_rows(pm: ParityMatrix):
-    """The rows of ``base_rows`` in order, each computed straight from its ext row.
-
-    For q < 256 a row is bytes, one digit per byte.  The cells of an ext
-    row are spread into one int, one per 64-bit lane, and each digit comes
-    from dividing every lane by q at once: a // q is a * r >> 40 with
-    r = 2^40 // q + 1, exact for a < 2^20 (the size cap) since the error
-    a * (r * q - 2^40) stays below 2^40.  The products stay below 2^60,
-    and a 24-bit mask per lane drops the bits the shift brings down from
-    the next lane.  Larger q (then m <= 2) give tuples, digit by digit.
-    """
-    q, n = pm.q, pm.n
-    if q >= 256:
-        for row in pm.ext_rows:
-            for l in range(pm.m):
-                yield tuple(a // q**l % q for a in row)
-        return
-    recip = (1 << 40) // q + 1
-    mask = int.from_bytes(b"\xff\xff\xff\0\0\0\0\0" * n, "little")
-    for row in pm.ext_rows:
-        size, cells = row.itemsize, _little_endian(row)
-        spread = bytearray(8 * n)
-        for b in range(size):
-            spread[b::8] = cells[b::size]
-        x = int.from_bytes(spread, "little")
-        for _ in range(pm.m):
-            quotient = x * recip >> 40 & mask
-            yield (x - q * quotient).to_bytes(8 * n, "little")[::8]
-            x = quotient
-
-
-def _packed_gf2_rows(pm: ParityMatrix):
-    """base_rows of a q = 2 matrix as bitmasks (bit i = column i).
-
-    Each compact ext row of w-bit cells is read as one little-endian int
-    and formatted once as w*n bits, most significant first.  The columns
-    then run from n - 1 down to 0, so bit l of every cell is the stride-w
-    slice starting at w - 1 - l.
-    """
-    n = pm.n
-    for row in pm.ext_rows:
-        w = 8 * row.itemsize
-        bits = format(int.from_bytes(_little_endian(row), "little"), f"0{w * n}b")
-        for l in range(pm.m):
-            yield int(bits[w - 1 - l :: w] or "0", 2)
-
-
 def rank(pm: ParityMatrix) -> int:
-    """Exact GF(q) rank of the expanded parity matrix."""
-    if pm.q == 2:
-        return rank_gf2(_packed_gf2_rows(pm))
-    return rank_modp(_digit_rows(pm), pm.q)
+    """Exact GF(q) rank of the expanded parity matrix, by full elimination of its
+    digit rows: the slow route, for :func:`kernel_basis`'s check and the tests."""
+    return rank_modp(pm.base_rows, pm.q)
+
+
+def _columns(spec: CodeSpec):
+    """The expanded matrix's columns, lazily from the residue rows: digit l of h_i's x^j
+    coefficient at position j*m + l (as in base row j*m + l).  A column is one mt-bit
+    int for q = 2, else mt digits: bytes for q < 256, a tuple past a byte."""
+    q, m, rows = spec.field.q, spec.field.m, spec.rows()
+    if q == 2:
+        shifts = range(0, m * spec.t, m)
+        return (sum(map(int.__lshift__, col, shifts)) for col in zip(*rows))
+    powers, kind = [q**l for l in range(m)], bytes if q < 256 else tuple
+    return (kind(a // w % q for a in col for w in powers) for col in zip(*rows))
+
+
+def _rank_bound(spec: CodeSpec) -> int:
+    """A proved upper bound on the GF(q) rank of the expanded matrix.
+
+    Always min(n, mt): the code is the set of c in GF(q)^n with
+    sum_i c_i v_i = 0 in GF(q^m) for every v in the GF(q^m) row space of
+    the t x n residue matrix H, and each of its t rows is m GF(q)-linear
+    conditions.
+
+    min(n, mt - (m - 1)) at eta* = g_t^2 / g_{t-1}, when g_{t-1} != 0.  Let
+    u_j be the row (alpha_i^j / g(alpha_i))_i.  Since (x - alpha)^-1 =
+    -(g(x) - g(alpha)) / ((x - alpha) g(alpha)) mod g, row j of H is
+    -sum_{k>j} g_k u_{k-1-j}, less eta u_t in row 0.  Rows t-1 down to 1
+    are triangular in u_0..u_{t-2} with diagonal -g_t, so they span
+    U = span(u_0..u_{t-2}), and row 0 is -(g_t u_{t-1} + eta u_t) modulo U.
+    At eta* that is -(g_t / g_{t-1}) (g_{t-1} u_{t-1} + g_t u_t), and
+    g_{t-1} u_{t-1} + g_t u_t = 1 - sum_{k<=t-2} g_k u_k because
+    g(alpha) / g(alpha) = 1.  So the row space is U plus the all-ones row.
+    For c in GF(q)^n, sum_i c_i already lies in GF(q), so that row is one
+    GF(q) condition, not m: rank <= m(t - 1) + 1.  (For t = 1, U = 0.)
+    """
+    F, g, n, mt = spec.field, spec.g, spec.n, spec.field.m * spec.t
+    below = g.coefficient(spec.t - 1)
+    if below and spec.eta == F.div(F.mul(g.lead, g.lead), below):
+        return min(n, mt - (F.m - 1))
+    return min(n, mt)
 
 
 def dimension(spec: CodeSpec) -> int:
-    """k = n - rank; InternalConsistencyError if k leaves [max(0, n - mt), n]."""
-    k, n, mt = spec.n - rank(parity_matrix(spec)), spec.n, spec.field.m * spec.t
+    """k = n - rank; InternalConsistencyError if k leaves [max(0, n - mt), n].  The
+    elimination reads columns until the rank reaches :func:`_rank_bound`, or all n."""
+    q, n, mt = spec.field.q, spec.n, spec.field.m * spec.t
+    columns, bound = _columns(spec), _rank_bound(spec)
+    k = n - (rank_gf2(columns, bound) if q == 2 else rank_modp(columns, q, bound))
     if not max(0, n - mt) <= k <= n:
         raise InternalConsistencyError(f"dimension {k} escapes [max(0, n - mt), n], n={n}, mt={mt}")
     return k

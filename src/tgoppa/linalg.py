@@ -1,11 +1,12 @@
 """Exact Gaussian elimination over GF(p).
 
-GF(2) rows travel as plain ints used as bit vectors (bit j = column j),
-so row reduction is word-level XOR.  :func:`rank_modp` packs rows of
-primes p <= 13 one residue per byte into a single int, so a row update
-is one big-int multiply-add and one ``bytes.translate``; larger primes
-and :func:`rref_modp` use lists of residues.  All paths must agree
-wherever they overlap; the test suite checks this.
+GF(2) vectors travel as plain ints used as bit vectors (bit j = entry j),
+so a reduction is word-level XOR.  :func:`rank_modp` packs vectors of
+primes p <= 13 one residue per byte into a single int, so an update is
+one big-int multiply-add and one ``bytes.translate``; larger primes and
+:func:`rref_modp` use lists of residues.  A rank takes rows or columns
+alike and stops once it reaches a bound the caller has proved.  All
+paths must agree wherever they overlap; the test suite checks this.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ def pack_gf2_row(row) -> int:
     return int("".join(map(str, row))[::-1] or "0", 2)
 
 
-def rank_gf2(rows) -> int:
-    """Rank of a GF(2) matrix given as bitmask rows."""
+def rank_gf2(rows, bound: int | None = None) -> int:
+    """Rank of GF(2) bitmask rows or columns; stops on reaching ``bound``, a proved maximum."""
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
@@ -27,6 +28,8 @@ def rank_gf2(rows) -> int:
             other = pivots.get(col)
             if other is None:
                 pivots[col] = row
+                if len(pivots) == bound:
+                    return bound
                 break
             row ^= other
     return len(pivots)
@@ -57,7 +60,7 @@ def rref_modp(rows: Iterable[Sequence[int]], p: int) -> tuple[list[list[int]], l
     return mat, pivots
 
 
-def rank_modp(rows: Iterable[Sequence[int]], p: int) -> int:
+def rank_modp(rows: Iterable[Sequence[int]], p: int, bound: int | None = None) -> int:
     """Rank mod p of a matrix of integers (any sign or size).
 
     For p(p - 1) < 256 (p <= 13) each row is one int with column j in
@@ -67,8 +70,9 @@ def rank_modp(rows: Iterable[Sequence[int]], p: int) -> int:
     translate maps the bytes back to residues.  The pivot of a row is its
     first nonzero byte, kept in a dict as in :func:`rank_gf2`.  A row that
     is ``bytes`` is already one value per byte and is reduced by one
-    translate.  Larger p take the rank of :func:`rref_modp`, which is also
-    the oracle.
+    translate.  As in :func:`rank_gf2`, a ``bound`` the rank cannot exceed
+    ends the elimination once reached.  Larger p take the rank of
+    :func:`rref_modp`, which is also the oracle, and ignore the bound.
     """
     if p * (p - 1) >= 256:
         return len(rref_modp(rows, p)[1])
@@ -89,6 +93,8 @@ def rank_modp(rows: Iterable[Sequence[int]], p: int) -> int:
             other = pivots.get(col)
             if other is None:
                 pivots[col] = v if c == 1 else reduced(v * inverse[c])
+                if len(pivots) == bound:
+                    return bound
                 break
             v = reduced(v + (p - c) * other)
     return len(pivots)

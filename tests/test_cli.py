@@ -215,12 +215,14 @@ def test_dim_out_spec_reads_back_over_the_cached_field(capsys, tmp_path, monkeyp
 
 def test_rank_above_mt_exits_4(capsys, monkeypatch):
     """dimension owns the range [max(0, n - mt), n] of k, so a rank above mt is an
-    internal error: dimension raises it and `dim` and `oracle-dim` exit 4."""
-    monkeypatch.setattr(goppa, "rank", lambda pm: pm.m * pm.t + 1)
+    internal error: dimension raises it and `dim` and `oracle-dim` exit 4.  The rank is
+    forced where dimension takes it, the q = 2 elimination of its columns."""
     field = make_field(2, 4)
+    monkeypatch.setattr(goppa, "rank_gf2", lambda columns, bound: 13)  # mt = 12
     with pytest.raises(InternalConsistencyError, match="dimension 3 escapes"):
         dimension(CodeSpec(field, field.elements(), Poly.from_string(field, "15,14,7,3"), 1))
-    for argv in (DIM_ARGS, GF16_DIM_ARGS, ["oracle-dim", *GF16_DIM_ARGS[1:]]):
+    for mt, argv in ((4, DIM_ARGS), (12, GF16_DIM_ARGS), (12, ["oracle-dim", *GF16_DIM_ARGS[1:]])):
+        monkeypatch.setattr(goppa, "rank_gf2", lambda columns, bound, mt=mt: mt + 1)
         code, out, err = run(capsys, argv)
         assert (code, out) == (4, ""), argv
         assert "internal error: dimension" in err

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import random
@@ -451,7 +452,8 @@ def test_csv_round_trip_many_records():
 
 
 def test_csv_cell_that_breaks_a_read_rule_is_rejected():
-    """One bad g, eta, k or seed cell in an otherwise true row raises ValueError.  g is
+    """One bad g, eta, k or seed cell in an otherwise true row raises the ValueError of its
+    read rule, prefixed with the line of the row.  g is
     stored as Poly.to_string writes it, so a true g with padded digits or a trailing zero
     coefficient reads back as the record run_trial wrote."""
     import csv
@@ -482,8 +484,13 @@ def test_csv_cell_that_breaks_a_read_rule_is_rejected():
             assert read_trials_csv(io.StringIO(buf.getvalue())) == records
             assert records[0].g == "15,14,7,3"
             continue
-        with pytest.raises(ValueError, match=error):
+        with pytest.raises(ValueError, match=error) as direct:
+            record_from_dict({**row, "params": row, key: cell})
+        with pytest.raises(ValueError) as caught:
             read_trials_csv(io.StringIO(buf.getvalue()))
+        # the cell rule's own error and class, prefixed with the line of the bad cell
+        assert str(caught.value) == f"CSV line 2: {direct.value}"
+        assert type(caught.value) is type(direct.value)
     for key, edge in (("k", "3"), ("k", "15"), ("eta", "0"), ("eta", "15"), ("seed", "0")):
         assert str(getattr(record_from_dict({**row, "params": row, key: edge}), key)) == edge
 
@@ -542,3 +549,18 @@ def test_standard_grid_shape():
 
 def test_csv_fields_constant():
     assert CSV_FIELDS == ("q", "m", "t", "b", "u", "a", "n", "g", "eta", "k", "seed")
+
+
+@pytest.mark.parametrize("sweeps, digest", [
+    ([(standard_grid(), 20, 101), (standard_grid(), 20, 202),
+      ([ParamSet(2, 4, 3, 10, 3), ParamSet(2, 6, 3, 4, 3), ParamSet(2, 6, 5, 14, 3)], 20, 12345)],
+     "c5094d467f2c0dbcad04e0658d594441c35c36040535a5767e0750d46230d861"),
+    ([([ParamSet(3, 6, 4, 1, 7), ParamSet(5, 4, 4, 1, 3), ParamSet(3, 6, 2, 0, 1),
+        ParamSet(5, 4, 3, 1, 5)], 10, 1)],
+     "356548a5c4c83eac3047de81a1d1e4a91ca30c8f80699de019e608b4a9b18de9"),
+], ids=["grid_sweep", "sweep_odd_q"])
+def test_seed0_trials_csv_digests(sweeps, digest):
+    """The trials CSVs of the benchmark's seed-0 sweeps, rebuilt from library calls, are
+    byte-identical to the recorded ones: every sampled g, eta, support and k is pinned."""
+    records = [r for sets, trials, master in sweeps for r in sweep(sets, trials, master).records]
+    assert hashlib.sha256(trials_csv_text(records).encode()).hexdigest() == digest

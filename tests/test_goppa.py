@@ -1,8 +1,6 @@
 import itertools
 import json
 import random
-import sys
-from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -30,7 +28,7 @@ from tgoppa import (
     twist_residue,
 )
 from tgoppa import goppa
-from tgoppa.goppa import ParityMatrix, _digit_rows, _exact_power_log, _packed_gf2_rows
+from tgoppa.goppa import _exact_power_log, _rank_bound
 from tgoppa.linalg import pack_gf2_row, rank_gf2, rank_modp, rref_modp
 
 from conftest import random_code_spec, random_poly_nonvanishing
@@ -387,33 +385,7 @@ def test_rank_gf2_packing_matches_kept_oracles(spec):
     r = rank(pm)
     assert r == rank_modp([list(row) for row in pm.base_rows], 2)
     assert r == rank_gf2(pack_gf2_row(row) for row in pm.base_rows)
-
-
-def test_packed_gf2_rows_equal_packed_base_rows(monkeypatch):
-    rng = random.Random(12)
-    F = make_field(2, 17)
-    specs = [
-        random_code_spec(rng, (F16,), max_n=16),
-        random_code_spec(rng, (F512,), max_n=40),
-        CodeSpec(F, (0, 1, 70000, 99999, 131071), Poly(F, (1, 1, 1)), 3),
-    ]
-    swapped = []
-    for itemsize, spec in zip((1, 2, 4), specs):
-        pm = parity_matrix(spec)
-        assert {row.itemsize for row in pm.ext_rows} == {itemsize}
-        packed = [pack_gf2_row(r) for r in pm.base_rows]
-        assert list(_packed_gf2_rows(pm)) == packed
-        rows = []
-        for row in pm.ext_rows:
-            copy = array(row.format, row)
-            copy.byteswap()
-            rows.append(memoryview(copy))
-        swapped.append((ParityMatrix(pm.q, pm.m, pm.t, pm.n, tuple(rows)), packed))
-    # Byteswapped rows hold the bytes a host of the other byte order would.
-    other = {"little": "big", "big": "little"}[sys.byteorder]
-    monkeypatch.setattr(goppa, "sys", SimpleNamespace(byteorder=other))
-    for pm, packed in swapped:
-        assert list(_packed_gf2_rows(pm)) == packed
+    assert dimension(spec) == pm.n - r  # the streamed columns, zero columns included
 
 
 def test_rank_gf2_packing_on_zero_column():
@@ -459,41 +431,130 @@ def odd_q_specs(draw):
 def test_odd_q_rank_from_ext_rows_matches_rref(spec):
     pm = parity_matrix(spec)
     assert rank(pm) == len(rref_modp(_eager_digit_rows(pm), pm.q)[1])
-    assert "base_rows" not in vars(pm)  # rank read the ext rows only
 
 
-def test_digit_rows_on_either_byte_order(monkeypatch):
-    rng = random.Random(13)
-    F3_12 = make_field(3, 12)
-    top = (0, 1, 100000, F3_12.order - 1)
-    specs = [
-        random_code_spec(rng, (F9,), max_n=9),  # 1-byte rows
-        random_code_spec(rng, (make_field(3, 6),), max_n=60),  # 2-byte rows
-        CodeSpec(F3_12, top, random_poly_nonvanishing(rng, F3_12, 2, top), 3),  # 4-byte rows
-        random_code_spec(rng, (make_field(257, 1),), max_n=30),  # digits past a byte
-    ]
-    expected, itemsizes = [], []
+@st.composite
+def streamed_specs(draw):
+    """Random codes for the column-streamed rank: residue rows of 1, 2 and 4 bytes
+    (GF(2^17) and GF(3^12) past 2^16 elements), digits past a byte (q = 257, 263),
+    random subset supports from one point to past mt, and eta = 0, random or eta*."""
+    F = make_field(*draw(st.sampled_from([
+        (2, 3), (2, 4), (2, 6), (2, 9), (2, 17), (3, 2), (3, 4), (3, 6), (3, 12),
+        (5, 2), (7, 2), (17, 2), (257, 1), (263, 1),
+    ])))
+    t = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    mode = draw(st.sampled_from(["zero", "random", "star"]))
+    coeffs = [rng.randrange(F.order) for _ in range(t)] + [rng.randrange(1, F.order)]
+    if mode == "star" and not coeffs[t - 1]:
+        coeffs[t - 1] = rng.randrange(1, F.order)
+    g = Poly(F, coeffs)
+    size = draw(st.integers(1, min(F.order, 2 * F.m * t + 8)))
+    support = [x for x in rng.sample(range(F.order), size) if g(x)]
+    assume(support)
+    if mode == "zero":
+        eta = 0
+    elif mode == "random":
+        eta = rng.randrange(1, F.order)
+    else:
+        eta = F.div(F.mul(g.lead, g.lead), g.coefficient(t - 1))
+    return CodeSpec(F, support, g, eta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(streamed_specs())
+def test_streamed_dimension_matches_full_elimination_and_brute_force(spec):
+    q, n = spec.field.q, spec.n
+    pm = parity_matrix(spec)
+    k = dimension(spec)
+    assert k == n - len(rref_modp(pm.base_rows, q)[1])
+    if q**n <= (1 << 16 if q == 2 else 1 << 11):
+        assert k == brute_force_dimension(spec)
+
+
+def _tapped(rank_fn, read):
+    """rank_fn, counting in read[0] the vectors it takes from its iterable."""
+
+    def tapped(columns, *args):
+        def tap():
+            for column in columns:
+                read[0] += 1
+                yield column
+
+        return rank_fn(tap(), *args)
+
+    return tapped
+
+
+def test_dimension_reads_columns_until_the_rank_reaches_its_bound(monkeypatch):
+    """The elimination stops at the first column where the rank reaches the proved
+    bound, and reads all n columns of a code whose rank stays below it."""
+    rng = random.Random(21)
+    specs = [WORKED, random_code_spec(random.Random(241), (make_field(3, 3),), max_n=27)]
+    for F, t in ((make_field(2, 6), 3), (make_field(3, 4), 2)):
+        g = random_poly_nonvanishing(rng, F, t, ())
+        while not g.coefficient(t - 1):
+            g = random_poly_nonvanishing(rng, F, t, ())
+        support = [x for x in F.elements() if g(x)]
+        eta_star = F.div(F.mul(g.lead, g.lead), g.coefficient(t - 1))
+        specs += [CodeSpec(F, support, g, eta) for eta in (0, rng.randrange(1, F.order), eta_star)]
+    read = [0]
+    monkeypatch.setattr(goppa, "rank_gf2", _tapped(rank_gf2, read))
+    monkeypatch.setattr(goppa, "rank_modp", _tapped(rank_modp, read))
+    exits = below = 0
     for spec in specs:
-        pm = parity_matrix(spec)
-        itemsizes.append(pm.ext_rows[0].itemsize)
-        kind = tuple if pm.q >= 256 else bytes
-        eager = [kind(row) for row in _eager_digit_rows(pm)]
-        assert list(_digit_rows(pm)) == eager
-        if kind is tuple:
-            continue  # read cell by cell, natively: no lanes, no byte order
-        rows = []
-        for row in pm.ext_rows:
-            copy = array(row.format, row)
-            copy.byteswap()
-            rows.append(memoryview(copy))
-        expected.append((ParityMatrix(pm.q, pm.m, pm.t, pm.n, tuple(rows)), eager))
-    assert itemsizes == [1, 2, 4, 2]
-    assert max(map(max, parity_matrix(specs[2]).ext_rows)) >= 3 << 16  # a // 3 needs 17+ bits
-    # Byteswapped rows hold the bytes a host of the other byte order would.
-    other = {"little": "big", "big": "little"}[sys.byteorder]
-    monkeypatch.setattr(goppa, "sys", SimpleNamespace(byteorder=other))
-    for pm, eager in expected:
-        assert list(_digit_rows(pm)) == eager
+        pm, bound = parity_matrix(spec), _rank_bound(spec)
+        full = rank(pm)
+        read[0] = 0
+        assert dimension(spec) == spec.n - full
+        if full < bound:
+            below += 1
+            assert read[0] == spec.n > bound
+            continue
+        prefix_rank = [len(rref_modp([row[:j] for row in pm.base_rows], pm.q)[1])
+                       for j in range(spec.n + 1)]
+        assert read[0] == prefix_rank.index(bound) < spec.n
+        exits += 1
+    assert (exits, below) == (6, 2)
+
+
+def test_dimension_builds_no_parity_matrix(monkeypatch):
+    rng = random.Random(22)
+    specs = [random_code_spec(rng, (F16, F9, make_field(5, 2), make_field(257, 1)), max_n=40)
+             for _ in range(12)]
+    ks = [spec.n - rank(parity_matrix(spec)) for spec in specs]
+
+    def forbidden(*args):
+        raise AssertionError("dimension built the expanded matrix")
+
+    for name in ("ParityMatrix", "parity_matrix", "rank"):
+        monkeypatch.setattr(goppa, name, forbidden)
+    assert [dimension(spec) for spec in specs] == ks
+
+
+def test_eta_star_rank_bound_holds_exhaustively():
+    """At eta* the rank never exceeds min(n, mt - (m - 1)) (the proof is in
+    ``_rank_bound``): every monic g with g_{t-1} != 0 of degree 1..3 over GF(8) and
+    GF(9), and 1..2 over GF(16), on the largest support it admits, all its non-roots.
+    Scaling g and eta by the same c changes no code, so monic g cover every g."""
+    cases = reached = 0
+    for F, degrees in ((F8, (1, 2, 3)), (F9, (1, 2, 3)), (F16, (1, 2))):
+        for t in degrees:
+            for low in itertools.product(F.elements(), repeat=t):
+                if not low[-1]:
+                    continue
+                g = Poly(F, (*low, 1))
+                support = [x for x in F.elements() if g(x)]
+                if not support:
+                    continue
+                spec = CodeSpec(F, support, g, F.inv(low[-1]))  # eta* = 1^2 / g_{t-1}
+                bound = _rank_bound(spec)
+                assert bound == min(spec.n, F.m * t - (F.m - 1))
+                full = rank(parity_matrix(spec))
+                assert full <= bound, spec
+                cases += 1
+                reached += full == bound
+    assert cases == 1494 and reached > cases // 2
 
 
 def test_matrix_json_golden():

@@ -33,6 +33,16 @@ def test_rank_trivial():
         assert rank_modp([[1, p - 1], [1, p - 1], [p + 1, -1]], p) == 1
 
 
+def test_rank_stops_reading_at_its_bound():
+    vectors = iter([0b11, 0b11, 0b01, 0b100, 0b1000])
+    assert rank_gf2(vectors, 2) == 2
+    assert list(vectors) == [0b100, 0b1000]  # the vectors past the second pivot stay unread
+    columns = iter([bytes([1, 2]), bytes([2, 1]), bytes([0, 1]), bytes([1, 1])])
+    assert rank_modp(columns, 3, 1) == 1
+    assert next(columns) == bytes([2, 1])
+    assert rank_gf2([0b11, 0b11], 2) == rank_modp([[1, 1], [1, 1]], 3, 2) == 1  # never reached
+
+
 def test_rank_worked_example():
     # GF(2) expansion of the GF(4) twisted example: rows 1100,1100,1100,1111
     rows = [[1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]]
