@@ -180,20 +180,20 @@ def parity_matrix(spec: CodeSpec) -> ParityMatrix:
 
 def rank(pm: ParityMatrix) -> int:
     """Exact GF(q) rank of the expanded parity matrix, by full elimination of its
-    digit rows: the slow route, for :func:`kernel_basis`'s check and the tests."""
+    digit rows: the slow route, for the acceptance checks and the tests."""
     return rank_modp(pm.base_rows, pm.q)
 
 
 def _columns(spec: CodeSpec):
     """The expanded matrix's columns, lazily from the residue rows: digit l of h_i's x^j
     coefficient at position j*m + l (as in base row j*m + l).  A column is one mt-bit
-    int for q = 2, else mt digits: bytes for q < 256, a tuple past a byte."""
+    int for q = 2, else a tuple of mt digits."""
     q, m, rows = spec.field.q, spec.field.m, spec.rows()
     if q == 2:
         shifts = range(0, m * spec.t, m)
         return (sum(map(int.__lshift__, col, shifts)) for col in zip(*rows))
-    powers, kind = [q**l for l in range(m)], bytes if q < 256 else tuple
-    return (kind(a // w % q for a in col for w in powers) for col in zip(*rows))
+    powers = [q**l for l in range(m)]
+    return (tuple(a // w % q for a in col for w in powers) for col in zip(*rows))
 
 
 def _rank_bound(spec: CodeSpec) -> int:
@@ -238,8 +238,8 @@ def kernel_basis(spec: CodeSpec) -> list[tuple[int, ...]]:
     """A basis of the code over GF(q), one tuple per dimension."""
     pm = parity_matrix(spec)
     basis = nullspace_modp(pm.base_rows, pm.q, pm.n)
-    if len(basis) != pm.n - rank(pm):
-        raise InternalConsistencyError("nullspace size disagrees with rank")
+    if len(basis) != dimension(spec):
+        raise InternalConsistencyError("nullspace size disagrees with dimension")
     return basis
 
 

@@ -1,12 +1,12 @@
 """Exact Gaussian elimination over GF(p).
 
 GF(2) vectors travel as plain ints used as bit vectors (bit j = entry j),
-so a reduction is word-level XOR.  :func:`rank_modp` packs vectors of
-primes p <= 13 one residue per byte into a single int, so an update is
-one big-int multiply-add and one ``bytes.translate``; larger primes and
-:func:`rref_modp` use lists of residues.  A rank takes rows or columns
-alike and stops once it reaches a bound the caller has proved.  All
-paths must agree wherever they overlap; the test suite checks this.
+so a reduction is word-level XOR.  :func:`rank_modp` keeps vectors of any
+prime as lists of residues, in an echelon basis keyed by pivot column as
+:func:`rank_gf2` does; :func:`rref_modp` is its independent oracle and
+serves the nullspace.  A rank takes rows or columns alike and stops once
+it reaches a bound the caller has proved.  All paths must agree wherever
+they overlap; the test suite checks this.
 """
 
 from __future__ import annotations
@@ -61,42 +61,30 @@ def rref_modp(rows: Iterable[Sequence[int]], p: int) -> tuple[list[list[int]], l
 
 
 def rank_modp(rows: Iterable[Sequence[int]], p: int, bound: int | None = None) -> int:
-    """Rank mod p of a matrix of integers (any sign or size).
+    """Rank mod p of equal-length vectors of integers (any sign or size), rows or columns.
 
-    For p(p - 1) < 256 (p <= 13) each row is one int with column j in
-    byte j, and pivots are normalized to 1.  Eliminating entry c with a
-    pivot row adds (p - c) * pivot: every byte stays below
-    (p - 1) + (p - 1)^2 < 256, so no lane carries into the next, and one
-    translate maps the bytes back to residues.  The pivot of a row is its
-    first nonzero byte, kept in a dict as in :func:`rank_gf2`.  A row that
-    is ``bytes`` is already one value per byte and is reduced by one
-    translate.  As in :func:`rank_gf2`, a ``bound`` the rank cannot exceed
-    ends the elimination once reached.  Larger p take the rank of
-    :func:`rref_modp`, which is also the oracle, and ignore the bound.
+    Each vector is reduced to residues and eliminated, from its first
+    nonzero entry on, against a basis vector whose pivot is that column
+    (normalized to 1, with zeros before it), so the first nonzero entry
+    only moves right; a vector left nonzero joins the basis under its
+    first nonzero column.  As in :func:`rank_gf2`, the elimination ends
+    once the rank reaches ``bound``, a proved maximum.
     """
-    if p * (p - 1) >= 256:
-        return len(rref_modp(rows, p)[1])
-    residue = bytes(x % p for x in range(256))
-    inverse = [0] + [pow(c, p - 2, p) for c in range(1, p)]
-
-    def reduced(v: int) -> int:
-        lanes = v.to_bytes((v.bit_length() + 7) >> 3, "little")
-        return int.from_bytes(lanes.translate(residue), "little")
-
-    pivots: dict[int, int] = {}
+    pivots: dict[int, list[int]] = {}
     for row in rows:
-        lanes = row.translate(residue) if type(row) is bytes else bytes(map(p.__rmod__, row))
-        v = int.from_bytes(lanes, "little")
-        while v:
-            col = ((v & -v).bit_length() - 1) >> 3
-            c = v >> (col << 3) & 0xFF
+        v = [x % p for x in row]
+        for col in range(len(v)):
+            c = v[col]
+            if not c:
+                continue
             other = pivots.get(col)
             if other is None:
-                pivots[col] = v if c == 1 else reduced(v * inverse[c])
+                inv = pow(c, p - 2, p)
+                pivots[col] = [x * inv % p for x in v]
                 if len(pivots) == bound:
                     return bound
                 break
-            v = reduced(v + (p - c) * other)
+            v = [(x - c * y) % p for x, y in zip(v, other)]
     return len(pivots)
 
 

@@ -157,6 +157,20 @@ def test_main_writes_the_pairs_run_before_an_interruption(tmp_path, monkeypatch)
     assert runs[0]["change"]["metrics"]["code_p50_ms"] == 9.0
 
 
+def test_main_rejects_a_repeated_workload_before_any_run(tmp_path, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_pairs, "run_bench", never)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--id", "7", "--workload", "grid_sweep",
+                          "--workload", "grid_sweep", "--pairs", "1", "--seed-base", "5"])
+    assert exc.value.code == 2
+    assert "each --workload may be given once" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_7.json").exists()
+
+
 def test_run_bench_records_a_run_that_exits_non_zero(tmp_path):
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "run.py").write_text(

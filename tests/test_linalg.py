@@ -29,7 +29,7 @@ def test_rank_trivial():
     assert rank_gf2([0b1, 0b10, 0b100]) == 3
     assert rank_modp([[0, 0], [0, 0]], 3) == 0
     assert rank_modp([[1, 0], [0, 2]], 3) == 2
-    for p in (2, 3, 5, 7, 11, 13, 17):  # the largest lane sum, (p - 1) + (p - 1)^2
+    for p in (2, 3, 5, 7, 11, 13, 17):  # entries p - 1, p + 1 and -1 reduce mod p
         assert rank_modp([[1, p - 1], [1, p - 1], [p + 1, -1]], p) == 1
 
 
@@ -40,6 +40,10 @@ def test_rank_stops_reading_at_its_bound():
     columns = iter([bytes([1, 2]), bytes([2, 1]), bytes([0, 1]), bytes([1, 1])])
     assert rank_modp(columns, 3, 1) == 1
     assert next(columns) == bytes([2, 1])
+    for p in (17, 257):  # every prime stops at its bound
+        columns = iter([(1, 2, 3), (2, 4, 6), (0, p - 1, 5), (0, 0, 1), (1, 1, 1)])
+        assert rank_modp(columns, p, 2) == 2
+        assert list(columns) == [(0, 0, 1), (1, 1, 1)]
     assert rank_gf2([0b11, 0b11], 2) == rank_modp([[1, 1], [1, 1]], 3, 2) == 1  # never reached
 
 
@@ -95,7 +99,7 @@ def test_rref_pivots_sorted():
 
 @given(st.data())
 def test_rank_modp_matches_rref_oracle(data):
-    p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13, 17)))
+    p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13, 17, 257)))
     nrows = data.draw(st.integers(0, 9), label="nrows")
     ncols = data.draw(st.integers(0, 40), label="ncols")  # empty, wide and tall
     entries = st.integers(-3 * p, 3 * p)  # negative and >= p entries
@@ -107,4 +111,7 @@ def test_rank_modp_matches_rref_oracle(data):
     for _ in range(nrows):
         coef = data.draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
         rows.append([sum(c * b[j] for c, b in zip(coef, basis)) for j in range(ncols)])
-    assert rank_modp(rows, p) == len(rref_modp(rows, p)[1])
+    rank = len(rref_modp(rows, p)[1])
+    assert rank_modp(rows, p) == rank
+    bound = data.draw(st.integers(1, 10), label="bound")
+    assert rank_modp(rows, p, bound) == min(bound, rank)

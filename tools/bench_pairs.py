@@ -6,7 +6,8 @@ Usage, from the root of a checkout:
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --id 10 \\
         --workload sweep_odd_q --pairs 10 --seed-base 1000
 
-Each directory is a checkout with its own ``bench/run.py``.  Pair i runs
+Each directory is a checkout with its own ``bench/run.py``.  A workload may
+be named only once, as its runs form one entry of the JSON.  Pair i runs
 ``bench/run.py --trace 0`` on both checkouts at seed ``seed-base + i``, the
 parent first on even i and the change first on odd i, one process at a
 time, each as long as ``run_seconds`` in the change's ``BENCHMARK.json``.
@@ -144,6 +145,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
+    if len(set(args.workload)) < len(args.workload):
+        ap.error("each --workload may be given once")
     parent, change = args.parent.resolve(), args.change.resolve()
     bench = json.loads((change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
