@@ -12,18 +12,18 @@ The column residue h_i is the bracketed term reduced mod g; the twist
 part is a constant, so it only shifts the degree-0 coefficient of the
 classical residue.  eta == 0 recovers the classical Goppa code.
 
-Each spec computes its residues once, straight into t row-major rows:
-row j holds the x^j coefficient of every column, as a compact stdlib
-``array`` of the smallest unsigned typecode that holds q^m - 1, exposed
-through a read-only ``memoryview`` because the spec caches it.  The
-spec also keeps g(alpha_i) as such a row, from the one evaluation of g
-per point that validation makes.  The residue rows are the only cached
-residue form: ``residues()`` derives the per-column view on each call.
+:func:`twist_residue` computes every residue, reading g(alpha_i) from the
+row of values the spec keeps from validation.  ``dimension`` computes a
+column's residue only when its elimination reads it.  ``CodeSpec.rows``
+computes all n once, for membership, brute force, the parity matrix, JSON
+and the kernel, and caches t read-only row-major rows (row j holds every
+x^j coefficient) in the smallest unsigned ``array`` typecode that holds
+q^m - 1; ``residues()`` derives the per-column view on each call.
 
 Dimension is computed over GF(q): the t x n matrix of residue
 coefficients over GF(q^m) is expanded digit-wise into an mt x n matrix
 over GF(q) (polynomial-basis coordinates), so k = n - rank.
-``dimension`` streams its columns from the residue rows into an exact
+``dimension`` streams its columns, one residue each, into an exact
 elimination that stops once the rank reaches a proved upper bound:
 min(n, mt), or min(n, mt - (m - 1)) at the deviant twist eta*.  The digit
 rows (``ParityMatrix.base_rows``) serve the nullspace, JSON and :func:`rank`.
@@ -39,11 +39,7 @@ import itertools
 from array import array
 from dataclasses import dataclass
 
-from .errors import (
-    EnumerationCapError,
-    InternalConsistencyError,
-    InvalidSpecError,
-)
+from .errors import EnumerationCapError, InternalConsistencyError, InvalidSpecError
 from .galois import Field, _check_int
 from .linalg import nullspace_modp, rank_gf2, rank_modp
 from .polyring import Poly, modinv
@@ -107,16 +103,13 @@ class CodeSpec:
         return self.g.degree
 
     def __repr__(self) -> str:
-        return (
-            f"CodeSpec({self.field!r}, n={self.n}, g={self.g.to_string()!r}, "
-            f"eta={self.eta})"
-        )
+        return f"CodeSpec({self.field!r}, n={self.n}, g={self.g.to_string()!r}, eta={self.eta})"
 
     def rows(self) -> tuple[memoryview, ...]:
         """Residue coefficients row-major: rows()[j][i] is the x^j coefficient of h_i.
 
-        Computed once, column by column, into t compact arrays; the cached
-        rows are read-only.
+        Computed once for all n columns by :func:`twist_residue` and cached
+        read-only; ``dimension`` computes its own columns instead.
         """
         rows = self._rows
         if rows is None:
@@ -130,11 +123,8 @@ class CodeSpec:
         return rows
 
     def residues(self) -> tuple[tuple[int, ...], ...]:
-        """Column residues h_i as coefficient tuples of length t.
-
-        A column view derived from :meth:`rows` on each call, not cached;
-        the ``dimension`` path never builds it.
-        """
+        """Column residues h_i as coefficient tuples of length t, derived from
+        :meth:`rows` on each call, not cached."""
         return tuple(zip(*self.rows()))
 
 
@@ -185,15 +175,16 @@ def rank(pm: ParityMatrix) -> int:
 
 
 def _columns(spec: CodeSpec):
-    """The expanded matrix's columns, lazily from the residue rows: digit l of h_i's x^j
-    coefficient at position j*m + l (as in base row j*m + l).  A column is one mt-bit
-    int for q = 2, else a tuple of mt digits."""
-    q, m, rows = spec.field.q, spec.field.m, spec.rows()
+    """The expanded matrix's columns, column i's residue computed only when it is pulled:
+    digit l of h_i's x^j coefficient at position j*m + l (as in base row j*m + l).  A
+    column is one mt-bit int for q = 2, else a tuple of mt digits."""
+    q, m, t = spec.field.q, spec.field.m, spec.t
+    residues = (twist_residue(spec, i).padded(t) for i in range(spec.n))
     if q == 2:
-        shifts = range(0, m * spec.t, m)
-        return (sum(map(int.__lshift__, col, shifts)) for col in zip(*rows))
+        shifts = range(0, m * t, m)
+        return (sum(map(int.__lshift__, col, shifts)) for col in residues)
     powers = [q**l for l in range(m)]
-    return (tuple(a // w % q for a in col for w in powers) for col in zip(*rows))
+    return (tuple(a // w % q for a in col for w in powers) for col in residues)
 
 
 def _rank_bound(spec: CodeSpec) -> int:
@@ -224,8 +215,8 @@ def _rank_bound(spec: CodeSpec) -> int:
 
 
 def dimension(spec: CodeSpec) -> int:
-    """k = n - rank; InternalConsistencyError if k leaves [max(0, n - mt), n].  The
-    elimination reads columns until the rank reaches :func:`_rank_bound`, or all n."""
+    """k = n - rank; InternalConsistencyError if k leaves [max(0, n - mt), n].  The elimination
+    reads columns, one residue each, until the rank reaches :func:`_rank_bound`, or all n."""
     q, n, mt = spec.field.q, spec.n, spec.field.m * spec.t
     columns, bound = _columns(spec), _rank_bound(spec)
     k = n - (rank_gf2(columns, bound) if q == 2 else rank_modp(columns, q, bound))
@@ -292,9 +283,7 @@ def brute_force_dimension(spec: CodeSpec, cap: int = DEFAULT_ENUMERATION_CAP) ->
         # Gray-code walk: step i toggles exactly one coordinate, so the
         # running residue sum stays current with one XOR per word.
         m = spec.field.m
-        packed = [
-            sum(h << (j * m) for j, h in enumerate(col)) for col in zip(*spec.rows())
-        ]
+        packed = [sum(h << j * m for j, h in enumerate(col)) for col in zip(*spec.rows())]
         acc = 0
         count = 1  # the all-zero word
         for i in range(1, total):

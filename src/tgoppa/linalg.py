@@ -4,9 +4,10 @@ GF(2) vectors travel as plain ints used as bit vectors (bit j = entry j),
 so a reduction is word-level XOR.  :func:`rank_modp` keeps vectors of any
 prime as lists of residues, in an echelon basis keyed by pivot column as
 :func:`rank_gf2` does; :func:`rref_modp` is its independent oracle and
-serves the nullspace.  A rank takes rows or columns alike and stops once
-it reaches a bound the caller has proved.  All paths must agree wherever
-they overlap; the test suite checks this.
+serves the nullspace.  Both reject vectors of unequal length.  A rank
+takes rows or columns alike and stops once it reaches a bound the caller
+has proved.  All paths must agree wherever they overlap; the test suite
+checks this.
 """
 
 from __future__ import annotations
@@ -35,9 +36,20 @@ def rank_gf2(rows, bound: int | None = None) -> int:
     return len(pivots)
 
 
+def _residues(rows: Iterable[Sequence[int]], p: int):
+    """Each vector as a list of residues mod p; ValueError on a length unlike the first's."""
+    width = None
+    for row in rows:
+        v = [x % p for x in row]
+        if width not in (None, len(v)):
+            raise ValueError(f"vector of length {len(v)} after one of length {width}")
+        width = len(v)
+        yield v
+
+
 def rref_modp(rows: Iterable[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form mod p, on a copy; returns (matrix, pivot columns)."""
-    mat = [[x % p for x in row] for row in rows]
+    mat = list(_residues(rows, p))
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
@@ -71,8 +83,7 @@ def rank_modp(rows: Iterable[Sequence[int]], p: int, bound: int | None = None) -
     once the rank reaches ``bound``, a proved maximum.
     """
     pivots: dict[int, list[int]] = {}
-    for row in rows:
-        v = [x % p for x in row]
+    for v in _residues(rows, p):
         for col in range(len(v)):
             c = v[col]
             if not c:
@@ -96,7 +107,7 @@ def nullspace_modp(
     Deterministic: free columns are visited in ascending order and each
     basis vector has a 1 in its own free column.
     """
-    mat, pivots = rref_modp(rows, p) if rows else ([], [])
+    mat, pivots = rref_modp(rows, p)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):

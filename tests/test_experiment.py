@@ -23,6 +23,8 @@ from tgoppa import (
     TrialRecord,
     brute_force_dimension,
     build_support,
+    choose_multiplier,
+    dimension,
     is_codeword,
     is_root_free,
     make_field,
@@ -564,3 +566,24 @@ def test_seed0_trials_csv_digests(sweeps, digest):
     byte-identical to the recorded ones: every sampled g, eta, support and k is pinned."""
     records = [r for sets, trials, master in sweeps for r in sweep(sets, trials, master).records]
     assert hashlib.sha256(trials_csv_text(records).encode()).hexdigest() == digest
+
+
+def test_seed0_dim_full_m14_csv_digest():
+    """The benchmark's seed-0 full-field code, rebuilt from library calls: g redrawn until
+    g_{t-1} != 0, eta redrawn until it differs from eta* = g_t^2 / g_{t-1}, and the same
+    k(eta), k(eta*) and trials CSV as recorded."""
+    p = ParamSet(2, 14, 10, 0, 1)
+    F, rng = make_field(p.q, p.m), random.Random(0)
+    g = random_root_free_poly(F, p.t, rng)
+    while not g.coefficient(p.t - 1):
+        g = random_root_free_poly(F, p.t, rng)
+    eta_star = F.div(F.mul(g.lead, g.lead), g.coefficient(p.t - 1))
+    eta = random_eta(F, rng)
+    while eta == eta_star:
+        eta = random_eta(F, rng)
+    a, support = choose_multiplier(F, p.u), build_support(F, p.b, p.u, g)
+    records = [TrialRecord(p, a, len(support), g.to_string(), e,
+                           dimension(CodeSpec(F, support, g, e)), 0) for e in (eta, eta_star)]
+    assert (records[0].k, records[1].k) == (16244, 16257)
+    assert hashlib.sha256(trials_csv_text(records).encode()).hexdigest() == (
+        "6694b0f60d0ff05b099b9a9edc0b228ab85316b8718f0c1e6a579a53d949d865")

@@ -463,6 +463,9 @@ def streamed_specs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(streamed_specs())
+# odd q, t = 1, a zero residue (trimmed to ()) in the first column read: h_1 = 0 at
+# alpha = -g_1/eta
+@example(CodeSpec(make_field(3, 1), (1, 0), Poly(make_field(3, 1), (1, 1)), 2))
 def test_streamed_dimension_matches_full_elimination_and_brute_force(spec):
     q, n = spec.field.q, spec.n
     pm = parity_matrix(spec)
@@ -498,15 +501,22 @@ def test_dimension_reads_columns_until_the_rank_reaches_its_bound(monkeypatch):
         support = [x for x in F.elements() if g(x)]
         eta_star = F.div(F.mul(g.lead, g.lead), g.coefficient(t - 1))
         specs += [CodeSpec(F, support, g, eta) for eta in (0, rng.randrange(1, F.order), eta_star)]
-    read = [0]
+    read, computed = [0], [0]
     monkeypatch.setattr(goppa, "rank_gf2", _tapped(rank_gf2, read))
     monkeypatch.setattr(goppa, "rank_modp", _tapped(rank_modp, read))
+
+    def counted_residue(spec, index):
+        computed[0] += 1
+        return twist_residue(spec, index)
+
+    monkeypatch.setattr(goppa, "twist_residue", counted_residue)
     exits = below = 0
     for spec in specs:
         pm, bound = parity_matrix(spec), _rank_bound(spec)
         full = rank(pm)
-        read[0] = 0
+        read[0] = computed[0] = 0
         assert dimension(spec) == spec.n - full
+        assert computed[0] == read[0]  # one residue per column read, none ahead
         if full < bound:
             below += 1
             assert read[0] == spec.n > bound
@@ -525,10 +535,11 @@ def test_dimension_builds_no_parity_matrix(monkeypatch):
     ks = [spec.n - rank(parity_matrix(spec)) for spec in specs]
 
     def forbidden(*args):
-        raise AssertionError("dimension built the expanded matrix")
+        raise AssertionError("dimension built the expanded matrix or the residue rows")
 
     for name in ("ParityMatrix", "parity_matrix", "rank"):
         monkeypatch.setattr(goppa, name, forbidden)
+    monkeypatch.setattr(CodeSpec, "rows", forbidden)  # residues come one column at a time
     assert [dimension(spec) for spec in specs] == ks
 
 

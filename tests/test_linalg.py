@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from tgoppa.linalg import (
@@ -45,6 +46,16 @@ def test_rank_stops_reading_at_its_bound():
         assert rank_modp(columns, p, 2) == 2
         assert list(columns) == [(0, 0, 1), (1, 1, 1)]
     assert rank_gf2([0b11, 0b11], 2) == rank_modp([[1, 1], [1, 1]], 3, 2) == 1  # never reached
+
+
+def test_ragged_vectors_are_rejected():
+    """A vector whose length differs from the first one's raises ValueError, whether it
+    is shorter or longer, and whether the first one is zero or empty."""
+    for ragged in ([[0, 0, 1], [0, 1]], [[0, 0], [0, 1, 1]], [[1, 2], [0, 0], []], [(), (0,)]):
+        for reduce in (lambda: rank_modp(ragged, 3), lambda: rref_modp(ragged, 3),
+                       lambda: nullspace_modp(ragged, 3, 3)):
+            with pytest.raises(ValueError, match="vector of length"):
+                reduce()
 
 
 def test_rank_worked_example():
