@@ -16,7 +16,6 @@ from .errors import (
 from .galois import DEFAULT_SIZE_CAP, Field, is_prime, make_field, validate_field_params
 from .polyring import Poly, inverse_linear_residue, is_root_free, modinv, xgcd
 from .affine_support import (
-    AffineMap,
     build_support,
     choose_multiplier,
     support_orbits,

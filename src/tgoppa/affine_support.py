@@ -1,9 +1,9 @@
-"""Affine bijections sigma(x) = a*x + b of a field and their orbits.
+"""Code supports from the orbits of the affine bijection sigma(x) = a*x + b.
 
-These maps generate the orbit-structured code supports: given a
-translation b and a requested map order u, a multiplier a of the right
-multiplicative order is chosen deterministically and the support is
-assembled from the complete size-u orbits of sigma.
+Given a translation b and a requested map order u, a multiplier a of the
+right multiplicative order is chosen deterministically and the support is
+assembled from the complete size-u orbits of sigma, which (b, u) fix: sigma
+is no object of its own, and its order rule is :func:`validate_orbit_params`.
 
 Conventions (fixed so that equal inputs always give byte-equal output):
 
@@ -18,58 +18,18 @@ Conventions (fixed so that equal inputs always give byte-equal output):
   its minimal element; orbits that touch a root of g are dropped whole,
   which keeps the surviving support closed under sigma.
 
-The support is built flat, in one orbit walk of the field for every
-(b, u) (:func:`build_support`); :func:`support_orbits` groups it into
-its orbits, runs of u consecutive points.
+The support is built flat, in one walk of the field stepping y -> a*y + b
+for every (b, u) (:func:`build_support`); :func:`support_orbits` groups it
+into its orbits, runs of u consecutive points.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import EmptySupportError, NoSuchOrderError, InternalConsistencyError
 from .galois import Field, _check_int, validate_field_params
 from .polyring import Poly
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """sigma(x) = a*x + b with a != 0, a bijection of the field."""
-
-    field: Field
-    a: int
-    b: int
-
-    def __post_init__(self):
-        _check_int(self.a, "multiplier a", 1, self.field.order - 1)  # a != 0: a bijection
-        self.field.check(self.b)
-
-    def __call__(self, x: int) -> int:
-        F = self.field
-        return F.add(F.mul(self.a, x), self.b)
-
-    def order(self) -> int:
-        """Smallest e >= 1 with sigma^e the identity map."""
-        if self.a == 1:
-            return 1 if self.b == 0 else self.field.q
-        return self.field.mult_order(self.a)
-
-    def fixed_points(self) -> list[int]:
-        F = self.field
-        if self.a == 1:
-            return list(F.elements()) if self.b == 0 else []
-        return [F.mul(self.b, F.inv(F.sub(1, self.a)))]
-
-    def orbit(self, x: int) -> list[int]:
-        """[x, sigma(x), sigma^2(x), ...] up to but not including the repeat."""
-        self.field.check(x)
-        out = [x]
-        y = self(x)
-        while y != x:
-            out.append(y)
-            y = self(y)
-        return out
 
 
 def validate_orbit_params(q: int, m: int, u: int, b: int | None = None) -> None:
@@ -127,11 +87,11 @@ def build_support(
 ) -> list[int]:
     """Support of the (b, u) construction as one flat, ordered list.
 
-    (b, u) is checked by :func:`validate_orbit_params` before the walk:
-    x -> x + b has order 1 iff b == 0 and order q otherwise.  The field is
-    walked once, for every u alike: the support is the complete size-u
-    orbits of sigma = (a, b) avoiding the roots of g, ordered by minimal
-    element, so each run of u consecutive points is one orbit.  The
+    (b, u) is checked by :func:`validate_orbit_params` before the walk.
+    The field is walked once, for every u alike, stepping y -> a*y + b with
+    a = :func:`choose_multiplier`: the support is the complete size-u
+    orbits of sigma avoiding the roots of g, ordered by minimal element,
+    so each run of u consecutive points is one orbit.  The
     identity (u == 1) has single-point orbits, so its support is every
     non-root of g in ascending order.  ``max_orbits`` keeps only the first
     that many orbits (the single-orbit, cyclic case is max_orbits = 1).
@@ -143,15 +103,15 @@ def build_support(
         raise ValueError("g must be nonzero")
     if max_orbits is not None:
         _check_int(max_orbits, "max_orbits", 1)
-    sigma = AffineMap(field, choose_multiplier(field, u), b)
+    a, mul, add = choose_multiplier(field, u), field.mul, field.add
     seen = bytearray(field.order)
     support = []
     for x in field.elements():
-        if seen[x]:
-            continue
-        orb = sigma.orbit(x)
-        for y in orb:
+        orb, y = [], x
+        while not seen[y]:  # sigma permutes the field: the walk from x closes at x
             seen[y] = 1
+            orb.append(y)
+            y = add(mul(a, y), b)
         if len(orb) == u and all(g(y) != 0 for y in orb):
             support.extend(orb)
     if not support:

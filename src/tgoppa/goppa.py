@@ -324,6 +324,13 @@ def spec_to_json(spec: CodeSpec) -> dict:
 
 
 def spec_from_json(data: dict) -> CodeSpec:
+    if not isinstance(data, dict):
+        raise InvalidSpecError(f"a spec document is a JSON object, got {data!r}")
+    for key in ("q", "m", "modulus", "support", "g", "eta"):
+        if key not in data:
+            raise InvalidSpecError(f"spec document has no {key!r}")
+        if key in ("modulus", "support") and not isinstance(data[key], list):
+            raise InvalidSpecError(f"spec {key!r} must be an array, got {data[key]!r}")
     field = Field.from_json(data)
     g = Poly.from_string(field, data["g"])
     if "t" in data:

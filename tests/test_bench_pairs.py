@@ -178,3 +178,30 @@ def test_run_bench_records_a_run_that_exits_non_zero(tmp_path):
     run = bench_pairs.run_bench(tmp_path, "grid_sweep", 0, 1)
     assert run["correct"] is False and "metrics" not in run
     assert "exit code 3" in run["error"] and "boom" in run["error"]
+
+
+def test_summarize_reports_the_median_pass_count_when_every_run_has_one(capsys):
+    runs = _runs(PARENT, CLEAR_GAIN)
+    assert "passes" not in bench_pairs.summarize(runs, METRICS)  # as before
+    for i, r in enumerate(runs):
+        r["parent"]["passes"], r["change"]["passes"] = 17 + i % 3, 28
+    s = bench_pairs.summarize(runs, METRICS)
+    assert s["passes"] == {"parent": 18, "change": 28}
+    bench_pairs.print_summary("grid_sweep", s)
+    assert "untraced passes per run, median parent 18, change 28" in capsys.readouterr().out
+    del runs[0]["change"]["passes"]
+    assert "passes" not in bench_pairs.summarize(runs, METRICS)
+
+
+@pytest.mark.parametrize("walls, passes", [({"untraced": [1.0, 1.1, 0.9], "traced": []}, 3),
+                                           (None, None)])
+def test_run_bench_counts_the_untraced_passes(tmp_path, walls, passes):
+    meta = {"git_rev": "rev"} if walls is None else {"git_rev": "rev", "pass_walls_s": walls}
+    result = {"correct": True, "failed": 0, "attempted": 3,
+              "metrics": {"ok_ratio": {"value": 1.0, "unit": "ratio"}}}
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        f"print({json.dumps(json.dumps({'meta': meta}))})\nprint({json.dumps(json.dumps(result))})\n")
+    run = bench_pairs.run_bench(tmp_path, "grid_sweep", 0, 1)
+    assert run["correct"] and run["metrics"] == {"ok_ratio": 1.0}
+    assert run.get("passes") == passes

@@ -8,7 +8,6 @@ import pytest
 
 from tgoppa import (
     CSV_FIELDS,
-    AffineMap,
     CodeSpec,
     Field,
     InternalConsistencyError,
@@ -119,7 +118,6 @@ def test_integer_rule_at_every_boundary(monkeypatch):
         F16.check,
         lambda v: F16.from_digits((v, 0, 0, 0)),
         lambda v: Poly(F16, (v, 1)),
-        lambda v: AffineMap(F16, v, 0),
         lambda v: validate_orbit_params(2, 4, v),
         lambda v: validate_orbit_params(2, 4, 3, v),
         lambda v: build_support(F16, v, 3, g),
@@ -218,7 +216,6 @@ def test_range_rule_at_every_range_site():
         (lambda v: is_codeword(spec, (v, 0)), 0, 1),
         (lambda v: validate_orbit_params(2, 4, 3, v), 0, 15),
         (lambda v: validate_orbit_params(2, 4, v), 1, None),
-        (lambda v: AffineMap(F16, v, 0), 1, 15),
     ]
     for site, low, high in sites:
         site(low)

@@ -598,6 +598,32 @@ def test_spec_json_round_trip():
     bad = dict(doc, t=3)
     with pytest.raises(InvalidSpecError):
         spec_from_json(bad)
+    with pytest.raises(InvalidSpecError, match="a spec document is a JSON object, got"):
+        spec_from_json([doc])
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "key, value, error",
+    [("modulus", 7, "'modulus' must be an array, got 7"),
+     ("modulus", None, "'modulus' must be an array, got None"),
+     ("support", 4, "'support' must be an array, got 4"),
+     ("support", {"0": 1}, "'support' must be an array")]
+    + [(key, _DELETE, f"spec document has no '{key}'")
+       for key in ("q", "m", "modulus", "support", "g", "eta")],
+)
+def test_malformed_spec_json_raises_invalid_spec_error(key, value, error):
+    """A missing key, or a modulus or support that is not an array, raises
+    InvalidSpecError naming the key, not a TypeError or KeyError from the reader."""
+    doc = spec_to_json(WORKED)
+    if value is _DELETE:
+        del doc[key]
+    else:
+        doc[key] = value
+    with pytest.raises(InvalidSpecError, match=error):
+        spec_from_json(doc)
 
 
 def test_matrix_json_shape():

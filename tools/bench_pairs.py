@@ -14,12 +14,14 @@ time, each as long as ``run_seconds`` in the change's ``BENCHMARK.json``.
 For every end-to-end metric there it prints each side's median and
 quartiles, how many pairs the change won (ties count for neither side),
 whether the change stays within the metric's bound, and whether it is a
-gain.  Every run, with its metadata, goes to ``BENCH_<id>.json`` at the
-root of this checkout, with both git revs and the Python version.  A run
-that exits non-zero or prints no result is kept in its pair as failed, the
-summary covers only the pairs whose two runs both finished, and the file is
-written in any case.  The exit code is 1 when any run failed or failed its
-gates (``correct: false``), else 0.  Standard library only.
+gain; beside them it prints each side's median number of untraced passes
+per run, since peak RSS grows with it.  Every run, with its metadata, goes
+to ``BENCH_<id>.json`` at the root of this checkout, with both git revs and
+the Python version.  A run that exits non-zero or prints no result is kept
+in its pair as failed, the summary covers only the pairs whose two runs
+both finished, and the file is written in any case.  The exit code is 1
+when any run failed or failed its gates (``correct: false``), else 0.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per-metric comparison of paired runs, plus the failed-operation totals.
 
     Each run pair is ``{"parent": run, "change": run}`` with the ``metrics``
-    and ``failed`` of :func:`run_bench`; ``metrics`` holds BENCHMARK.json's
+    and ``failed`` of :func:`run_bench`, and ``passes`` when the run
+    reported its untraced passes; when every run did, ``passes`` holds each
+    side's median pass count.  ``metrics`` holds BENCHMARK.json's
     end-to-end entries (name, better, bound).  ``worse_by`` is the change's
     median relative to the parent's, signed so that a positive value is a
     regression.  ``verdict`` is "over" when that exceeds the bound,
@@ -59,7 +63,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     of the pairs, and a median better than the parent's by more than the
     parent's interquartile range.
     """
-    failed = {side: sum(r[side]["failed"] for r in runs) for side in ("parent", "change")}
+    sides = ("parent", "change")
+    failed = {side: sum(r[side]["failed"] for r in runs) for side in sides}
     out = {}
     for spec in metrics:
         name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
@@ -90,11 +95,16 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "gain": (len(runs) >= MIN_PAIRS and failed["change"] <= failed["parent"]
                      and wins >= 0.9 * len(runs) and gap > iqr),
         }
-    return {"failed": failed, "metrics": out}
+    summary = {"failed": failed, "metrics": out}
+    if all("passes" in r[side] for r in runs for side in sides):
+        summary["passes"] = {side: statistics.median(r[side]["passes"] for r in runs)
+                             for side in sides}
+    return summary
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py --trace 0`` run; its metadata, result and metric values.
+    """One ``bench/run.py --trace 0`` run; its metadata, result, metric values
+    and, when the meta lists its untraced pass walls, its pass count.
 
     A run that exits non-zero or whose last two stdout lines are not its
     meta and result JSON is returned as ``{"correct": False, "error": ...}``
@@ -110,13 +120,17 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             raise ValueError(f"exit code {out.returncode}")
         meta_line, result_line = out.stdout.strip().splitlines()[-2:]
         result = json.loads(result_line)
-        return {
-            "meta": json.loads(meta_line)["meta"],
+        meta = json.loads(meta_line)["meta"]
+        run = {
+            "meta": meta,
             "correct": result["correct"],
             "failed": result["failed"],
             "attempted": result["attempted"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         }
+        if "untraced" in meta.get("pass_walls_s", {}):
+            run["passes"] = len(meta["pass_walls_s"]["untraced"])
+        return run
     except (ValueError, KeyError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
         return {"correct": False, "error": f"{exc}; stderr: {out.stderr[-2000:]}"}
 
@@ -124,6 +138,10 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 def print_summary(workload: str, summary: dict) -> None:
     failed = summary["failed"]
     print(f"{workload}: failed operations parent {failed['parent']}, change {failed['change']}")
+    if "passes" in summary:
+        passes = summary["passes"]
+        print(f"{workload}: untraced passes per run, median parent {passes['parent']:g}, "
+              f"change {passes['change']:g}")
     print(f"{workload}: metric  parent q1/median/q3  ->  change q1/median/q3  "
           f"wins  worse_by  verdict  gain")
     for name, s in summary["metrics"].items():
