@@ -176,7 +176,7 @@ def _cmd_sweep(args) -> int:
     for idx, entry in enumerate(raw_entries):
         try:
             grid.append(ParamSet.from_dict(entry))
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             bad_entries.append({"params": entry, "report": None, "error": str(exc)})
             print(f"tgoppa: grid entry {idx} rejected: {exc}", file=sys.stderr)
     if not grid:

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 from .affine_support import build_support, choose_multiplier, validate_orbit_params
 from .errors import InternalConsistencyError, RejectionCapError, TrialError
-from .galois import Field, _check_int, _read_int, make_field
+from .galois import Field, _check_int, _read_doc, _read_int, make_field
 from .goppa import CodeSpec, _check_degree, dimension
 from .polyring import Poly, is_root_free
 
@@ -61,7 +61,8 @@ class ParamSet:
     @classmethod
     def from_dict(cls, data: dict) -> "ParamSet":
         """Ints or decimal strings (CSV rows are text); floats and bools are rejected."""
-        return cls(*(_read_int(data[key], key) for key in ("q", "m", "t", "b", "u")))
+        keys = ("q", "m", "t", "b", "u")
+        return cls(*map(_read_int, _read_doc(data, "params", keys), keys))
 
 
 @dataclass(frozen=True)
@@ -278,10 +279,11 @@ def record_from_dict(data: dict) -> TrialRecord:
     """A record whose cells meet the package's rules: g is degree-t text over P's field (kept
     as ``Poly.to_string`` writes it), eta an element, seed >= 0 and k in the range of
     :func:`dimension`, [max(0, n - mt), n].  Not a replay."""
-    a, n, eta, k, seed = (_read_int(data[key], key) for key in ("a", "n", "eta", "k", "seed"))
-    params = ParamSet.from_dict(data["params"])
+    *cells, params, g = _read_doc(data, "record", ("a", "n", "eta", "k", "seed", "params", "g"))
+    a, n, eta, k, seed = map(_read_int, cells, ("a", "n", "eta", "k", "seed"))
+    params = ParamSet.from_dict(params)
     field = make_field(params.q, params.m)
-    g = Poly.from_string(field, data["g"])
+    g = Poly.from_string(field, g)
     _check_degree(g, params.t)
     return TrialRecord(params, a, n, g.to_string(), field.check(eta),
                        _check_int(k, "k", max(0, n - params.m * params.t), n),
@@ -289,14 +291,7 @@ def record_from_dict(data: dict) -> TrialRecord:
 
 
 def report_to_dict(report: DeterminismReport) -> dict:
-    return {
-        "params": report.params.to_dict(),
-        "n": report.n,
-        "trials": report.trials,
-        "k_histogram": {str(k): v for k, v in report.k_histogram.items()},
-        "invariant": report.invariant,
-        "k_value": report.k_value,
-    }
+    return {**asdict(report), "k_histogram": {str(k): v for k, v in report.k_histogram.items()}}
 
 
 def sweep_result_to_dict(result: SweepResult) -> dict:

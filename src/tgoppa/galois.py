@@ -32,8 +32,9 @@ Fields are small by design: the size cap is the fixed constant
 ``DEFAULT_SIZE_CAP = 2**20`` elements, so that root scans and orbit walks
 can be exhaustive.  :func:`validate_field_params` is the one check of
 (q, m), shared by :class:`Field` and the experiment parameter sets.  All
-integer input meets the integer rule :func:`_check_int`, and text first
-meets the decimal text rule :func:`_read_int`; no other module has its own.
+integer input meets the integer rule :func:`_check_int`, text first meets
+the decimal text rule :func:`_read_int`, and every document read meets the
+document rule :func:`_read_doc`; no other module has its own.
 """
 
 from __future__ import annotations
@@ -74,6 +75,19 @@ def _read_int(value, what: str) -> int:
             raise ValueError(f"{what} must be decimal digits, got {value!r}")
         value = int(value)
     return _check_int(value, what)
+
+
+def _read_doc(doc, what: str, keys, arrays=(), error=ValueError) -> list:
+    """The package's one document rule: ``doc`` must be a dict (a JSON object) holding every
+    key, with a list (a JSON array) at each of ``arrays``.  Returns the values in key order."""
+    if not isinstance(doc, dict):
+        raise error(f"a {what} document is a JSON object, got {doc!r}")
+    for key in keys:
+        if key not in doc:
+            raise error(f"{what} document has no {key!r}")
+        if key in arrays and not isinstance(doc[key], list):
+            raise error(f"{what} {key!r} must be an array, got {doc[key]!r}")
+    return [doc[key] for key in keys]
 
 
 def validate_field_params(q: int, m: int) -> None:
@@ -229,8 +243,9 @@ class Field:
     @staticmethod
     def from_json(data: dict) -> "Field":
         """``make_field(q, m)``, if the document states that field's modulus in integer cells."""
-        field = make_field(data["q"], data["m"])
-        stated = [_check_int(c, "modulus coefficient", 0, field.q - 1) for c in data["modulus"]]
+        q, m, modulus = _read_doc(data, "field", ("q", "m", "modulus"), ("modulus",))
+        field = make_field(q, m)
+        stated = [_check_int(c, "modulus coefficient", 0, field.q - 1) for c in modulus]
         if stated != list(field.modulus):
             raise ValueError(f"modulus {stated} is not the canonical {list(field.modulus)}")
         return field
@@ -249,12 +264,6 @@ class Field:
     def expand(self, a: int) -> tuple[int, ...]:
         """Base-q digit tuple (d_0, ..., d_{m-1}) of an encoding."""
         return tuple(_digits(a, self.q, self.m))
-
-    def from_digits(self, digits) -> int:
-        digits = [_check_int(d, "digit", 0, self.q - 1) for d in digits]
-        if len(digits) != self.m:
-            raise ValueError(f"expected {self.m} digits, got {len(digits)}")
-        return _undigits(digits, self.q)
 
     # -- arithmetic -----------------------------------------------------
 

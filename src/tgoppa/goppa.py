@@ -40,7 +40,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import EnumerationCapError, InternalConsistencyError, InvalidSpecError
-from .galois import Field, _check_int
+from .galois import Field, _check_int, _read_doc
 from .linalg import nullspace_modp, rank_gf2, rank_modp
 from .polyring import Poly, modinv
 
@@ -324,18 +324,13 @@ def spec_to_json(spec: CodeSpec) -> dict:
 
 
 def spec_from_json(data: dict) -> CodeSpec:
-    if not isinstance(data, dict):
-        raise InvalidSpecError(f"a spec document is a JSON object, got {data!r}")
-    for key in ("q", "m", "modulus", "support", "g", "eta"):
-        if key not in data:
-            raise InvalidSpecError(f"spec document has no {key!r}")
-        if key in ("modulus", "support") and not isinstance(data[key], list):
-            raise InvalidSpecError(f"spec {key!r} must be an array, got {data[key]!r}")
+    *_, support, g, eta = _read_doc(data, "spec", ("q", "m", "modulus", "support", "g", "eta"),
+                                    ("modulus", "support"), InvalidSpecError)
     field = Field.from_json(data)
-    g = Poly.from_string(field, data["g"])
+    g = Poly.from_string(field, g)
     if "t" in data:
         _check_degree(g, data["t"])
-    return CodeSpec(field, data["support"], g, data["eta"])
+    return CodeSpec(field, support, g, eta)
 
 
 def matrix_to_json(pm: ParityMatrix) -> dict:

@@ -3,6 +3,11 @@
 from tgoppa import CodeSpec, Poly, RejectionCapError, experiment
 
 
+def digits_to_int(digits, q):
+    """The encoding of base-q digits, least significant first."""
+    return sum(d * q**i for i, d in enumerate(digits))
+
+
 def random_poly_nonvanishing(rng, field, t, points, max_attempts=20_000):
     """Random degree-t polynomial with no root among the given points."""
     for _ in range(max_attempts):

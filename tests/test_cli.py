@@ -391,6 +391,24 @@ def test_sweep_rejects_malformed_entry_but_continues(capsys, tmp_path):
     assert code in (1, 3)
 
 
+def test_sweep_reports_entries_that_are_no_parameter_document(capsys, tmp_path):
+    """A grid entry without a key, or that is no JSON object, is reported with the document
+    rule's message naming it; the good entry still runs and the sweep exits 1."""
+    bad = [{"q": 2, "m": 3, "t": 2, "b": 1}, [1], 7]
+    grid = _write_grid(tmp_path, bad + [{"q": 2, "m": 4, "t": 2, "b": 0, "u": 1}], trials=2)
+    code, out, err = run(capsys, ["sweep", "--grid", grid, "--format", "json"])
+    doc = json.loads(out)
+    assert [r["params"] for r in doc["reports"] if r["error"]] == bad
+    assert doc["counterexamples"] == [] and doc["f_table"][0]["k"] == 8
+    assert len(doc["records"]) == 2
+    assert err.splitlines() == [
+        "tgoppa: grid entry 0 rejected: params document has no 'u'",
+        "tgoppa: grid entry 1 rejected: a params document is a JSON object, got [1]",
+        "tgoppa: grid entry 2 rejected: a params document is a JSON object, got 7",
+    ]
+    assert code == 1
+
+
 def test_sweep_rejects_non_integer_trials_and_seed(capsys, tmp_path, monkeypatch):
     def random_root_free_poly(field, t, rng):
         raise AssertionError("sampling started")

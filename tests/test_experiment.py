@@ -1,7 +1,9 @@
 import hashlib
 import io
+import json
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -116,7 +118,6 @@ def test_integer_rule_at_every_boundary(monkeypatch):
         lambda v: validate_field_params(2, v),
         lambda v: Field.from_json({"q": 2, "m": 2, "modulus": [v, 1, 1]}),  # modulus cell
         F16.check,
-        lambda v: F16.from_digits((v, 0, 0, 0)),
         lambda v: Poly(F16, (v, 1)),
         lambda v: validate_orbit_params(2, 4, v),
         lambda v: validate_orbit_params(2, 4, 3, v),
@@ -168,6 +169,31 @@ def test_integer_rule_at_every_boundary(monkeypatch):
             assert built[0] is None or type(v) is int, data
 
 
+def test_document_readers_reject_a_malformed_document_naming_the_key():
+    """Field.from_json, ParamSet.from_dict and record_from_dict, its nested params too,
+    read through the one document rule: a document that is no object, lacks a key or
+    holds no array where one is due raises ValueError naming it, not KeyError or TypeError."""
+    record = record_to_dict(sweep([ParamSet(2, 4, 3, 10, 3)], 1, 11).records[0])
+    readers = [
+        (Field.from_json, F16.to_json()),
+        (ParamSet.from_dict, record["params"]),
+        (record_from_dict, record),
+        (lambda doc: record_from_dict({**record, "params": doc}), record["params"]),
+    ]
+    for read, doc in readers:
+        read(doc)
+        for bad in ([doc], 7, "q"):
+            with pytest.raises(ValueError, match=re.escape(f"JSON object, got {bad!r}")):
+                read(bad)
+        for key in doc:
+            with pytest.raises(ValueError, match=f"document has no '{key}'"):
+                read({k: v for k, v in doc.items() if k != key})
+    for modulus in (19, None, "1,1,0,0,1", {"0": 1}, (1, 1, 0, 0, 1)):
+        error = re.escape(f"field 'modulus' must be an array, got {modulus!r}")
+        with pytest.raises(ValueError, match=error):
+            Field.from_json({**F16.to_json(), "modulus": modulus})
+
+
 BAD_TEXT = ("1_0", " 10", "\u0661\u0660", "+10", "10 ", "-", "")  # \u0661\u0660: Arabic-Indic 10
 
 
@@ -207,12 +233,11 @@ def test_decimal_text_rule_at_every_text_entry_point():
 
 
 def test_range_rule_at_every_range_site():
-    """Modulus coefficients, digits, word entries, b and u are range-checked by the integer
+    """Modulus coefficients, word entries, b and u are range-checked by the integer
     rule: the first value past either end is rejected, the ends themselves are accepted
     (for the modulus, only the canonical document)."""
     spec = CodeSpec(F16, (0, 1), random_root_free_poly(F16, 3, random.Random(1)), 1)
     sites = [
-        (lambda v: F16.from_digits((v, 0, 0, 0)), 0, 1),
         (lambda v: is_codeword(spec, (v, 0)), 0, 1),
         (lambda v: validate_orbit_params(2, 4, 3, v), 0, 15),
         (lambda v: validate_orbit_params(2, 4, v), 1, None),
@@ -563,6 +588,14 @@ def test_seed0_trials_csv_digests(sweeps, digest):
     byte-identical to the recorded ones: every sampled g, eta, support and k is pinned."""
     records = [r for sets, trials, master in sweeps for r in sweep(sets, trials, master).records]
     assert hashlib.sha256(trials_csv_text(records).encode()).hexdigest() == digest
+
+
+def test_standard_grid_sweep_json_digest():
+    """The sweep JSON (reports, f table, records) of a small standard-grid sweep is
+    byte-identical to the recorded one, as the CSV digests pin the trials CSV."""
+    text = json.dumps(sweep_result_to_dict(sweep(standard_grid(), 3, 101)), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2b243f3ef662d30bb699773cb997ee1681c85fe8aabd32354153f4ca3925c383")
 
 
 def test_seed0_dim_full_m14_csv_digest():

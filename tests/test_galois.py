@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from tgoppa import Field, NotPrimeError, SizeCapError, galois, make_field
 from tgoppa.galois import _digits, is_prime
 
+from conftest import digits_to_int
+
 F4 = make_field(2, 2)
 F8 = make_field(2, 3)
 F16 = make_field(2, 4)
@@ -186,9 +188,7 @@ def test_expand_examples_and_round_trip():
     assert F9.expand(7) == (1, 2)
     for field in (F16, F9):
         for a in field.elements():
-            assert field.from_digits(field.expand(a)) == a
-    with pytest.raises(ValueError):
-        F9.from_digits((1, 2, 0))
+            assert digits_to_int(field.expand(a), field.q) == a
 
 
 @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15))
@@ -232,9 +232,9 @@ def test_odd_q_add_sub_neg_match_digitwise_oracle(data):
     a = data.draw(st.integers(0, F.order - 1))
     b = data.draw(st.integers(0, F.order - 1))
     q, da, db = F.q, F.expand(a), F.expand(b)
-    assert F.add(a, b) == F.from_digits([(x + y) % q for x, y in zip(da, db)])
-    assert F.sub(a, b) == F.from_digits([(x - y) % q for x, y in zip(da, db)])
-    assert F.neg(a) == F.from_digits([-x % q for x in da])
+    assert F.add(a, b) == digits_to_int([(x + y) % q for x, y in zip(da, db)], q)
+    assert F.sub(a, b) == digits_to_int([(x - y) % q for x, y in zip(da, db)], q)
+    assert F.neg(a) == digits_to_int([-x % q for x in da], q)
 
 
 @pytest.mark.parametrize("qm", [(3, 2), (5, 2), (3, 3), (7, 2)])
@@ -264,9 +264,9 @@ def test_odd_field_above_table_cap_adds_through_digit_loop(monkeypatch):
     for _ in range(50):
         a, b = rng.randrange(F.order), rng.randrange(F.order)
         da, db = F.expand(a), F.expand(b)
-        assert F.add(a, b) == F.from_digits([(x + y) % 3 for x, y in zip(da, db)])
-        assert F.sub(a, b) == F.from_digits([(x - y) % 3 for x, y in zip(da, db)])
-        assert F.neg(a) == F.from_digits([-x % 3 for x in da])
+        assert F.add(a, b) == digits_to_int([(x + y) % 3 for x, y in zip(da, db)], 3)
+        assert F.sub(a, b) == digits_to_int([(x - y) % 3 for x, y in zip(da, db)], 3)
+        assert F.neg(a) == digits_to_int([-x % 3 for x in da], 3)
     assert calls.count(1) == 50 and calls.count(-1) == 100
 
 

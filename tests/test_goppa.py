@@ -31,7 +31,7 @@ from tgoppa import goppa
 from tgoppa.goppa import _exact_power_log, _rank_bound
 from tgoppa.linalg import pack_gf2_row, rank_gf2, rank_modp, rref_modp
 
-from conftest import random_code_spec, random_poly_nonvanishing
+from conftest import digits_to_int, random_code_spec, random_poly_nonvanishing
 
 F4 = make_field(2, 2)
 F8 = make_field(2, 3)
@@ -187,7 +187,7 @@ def test_base_rows_collapse_to_ext_rows():
         for j in range(pm.t):
             for i in range(pm.n):
                 digits = [pm.base_rows[j * pm.m + l][i] for l in range(pm.m)]
-                assert F.from_digits(digits) == pm.ext_rows[j][i]
+                assert digits_to_int(digits, F.q) == pm.ext_rows[j][i]
 
 
 def test_rank_and_dimension_worked_example():
