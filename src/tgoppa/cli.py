@@ -22,7 +22,7 @@ import sys
 
 from .affine_support import build_support, support_orbits
 from .errors import InternalConsistencyError
-from .galois import _check_int, _read_int, make_field
+from .galois import _check_int, _read_doc, _read_int, make_field
 from .goppa import (
     DEFAULT_ENUMERATION_CAP,
     CodeSpec,
@@ -63,6 +63,11 @@ def _write_json(path: str, obj) -> None:
     with open(path, "w") as f:
         f.write(_json_line(obj))
         f.write("\n")
+
+
+def _print_violation(report) -> None:
+    print(f"tgoppa: determinism violated for {report.params}: "
+          f"k histogram {report.k_histogram}", file=sys.stderr)
 
 
 def _checked(build, *args, prefix: str = "", **kwargs):
@@ -146,11 +151,7 @@ def _cmd_determinism(args) -> int:
     if args.out:
         _write_json(args.out, payload)
     if not report.invariant:
-        print(
-            f"tgoppa: determinism violated for {params}: "
-            f"k histogram {report.k_histogram}",
-            file=sys.stderr,
-        )
+        _print_violation(report)
         return EXIT_VIOLATION
     return EXIT_OK
 
@@ -162,8 +163,8 @@ def _cmd_sweep(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"tgoppa: error: cannot read grid file: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    raw_entries = grid_doc.get("grid") if isinstance(grid_doc, dict) else None
-    if not isinstance(raw_entries, list) or not raw_entries:
+    [grid] = _checked(_read_doc, grid_doc, "grid file", ("grid",), ("grid",))
+    if not grid:
         raise _UsageError('grid file must contain a nonempty "grid" array')
     trials = args.trials if args.trials is not None else grid_doc.get("trials")
     if trials is None:
@@ -172,32 +173,17 @@ def _cmd_sweep(args) -> int:
     if seed is None:
         raise _UsageError("seed missing: pass --seed or put it in the grid file")
 
-    grid, bad_entries = [], []
-    for idx, entry in enumerate(raw_entries):
-        try:
-            grid.append(ParamSet.from_dict(entry))
-        except ValueError as exc:
-            bad_entries.append({"params": entry, "report": None, "error": str(exc)})
-            print(f"tgoppa: grid entry {idx} rejected: {exc}", file=sys.stderr)
-    if not grid:
-        print("tgoppa: error: no usable grid entries", file=sys.stderr)
-        return EXIT_FAILURE
-
     result = _checked(sweep, grid, trials, seed, allow_zero_eta=args.allow_zero_eta)
-    for entry in result.errors:
-        print(f"tgoppa: {entry.params} failed: {entry.error}", file=sys.stderr)
+    for idx, entry in enumerate(result.entries):
+        if entry.error is not None:
+            print(f"tgoppa: grid entry {idx} rejected: {entry.error}", file=sys.stderr)
     for report in result.counterexamples:
-        print(
-            f"tgoppa: DETERMINISM VIOLATED for {report.params}: "
-            f"k histogram {report.k_histogram}",
-            file=sys.stderr,
-        )
+        _print_violation(report)
 
     if args.format == "csv":
         write_trials_csv(result.records, args.out or sys.stdout)
     else:
         payload = sweep_result_to_dict(result)
-        payload["reports"].extend(bad_entries)
         if args.out:
             _write_json(args.out, payload)
         else:
@@ -205,7 +191,7 @@ def _cmd_sweep(args) -> int:
 
     if result.counterexamples:
         return EXIT_VIOLATION
-    if result.errors or bad_entries:
+    if result.errors:
         return EXIT_FAILURE
     return EXIT_OK
 

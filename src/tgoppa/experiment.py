@@ -194,7 +194,9 @@ def verify_determinism(
 
 @dataclass
 class SweepEntry:
-    params: ParamSet
+    """A grid entry's report or error; ``params`` is the entry as written if it was rejected."""
+
+    params: ParamSet | object
     report: DeterminismReport | None
     error: str | None
 
@@ -223,26 +225,32 @@ class SweepResult:
 
 
 def sweep(
-    grid: list[ParamSet],
+    grid: list,
     trials_per_set: int,
     master_seed: int,
     *,
     allow_zero_eta: bool = False,
 ) -> SweepResult:
-    """Verify determinism across a grid; per-P failures are recorded, not fatal.
+    """Verify determinism across a grid; per-entry failures are recorded, not fatal.
 
-    An ``InternalConsistencyError`` is not a per-P failure: it stops the sweep.
+    An entry is a :class:`ParamSet` or a document for :meth:`ParamSet.from_dict`; one that
+    is rejected, or whose trials fail, is recorded in place.  The trial count and master
+    seed are checked first, and an ``InternalConsistencyError`` stops the sweep.
     """
     if not grid:
         raise ValueError("sweep grid must be nonempty")
+    _check_int(trials_per_set, "trial count", 1)
+    _check_int(master_seed, "master seed")
     entries: list[SweepEntry] = []
     records: list[TrialRecord] = []
     for params in grid:
         try:
+            if not isinstance(params, ParamSet):
+                params = ParamSet.from_dict(params)  # on failure, params stays as written
             recs = run_trials(
                 params, trials_per_set, master_seed, allow_zero_eta=allow_zero_eta
             )
-        except TrialError as exc:
+        except (TrialError, ValueError) as exc:
             entries.append(SweepEntry(params, None, str(exc)))
             continue
         records.extend(recs)
@@ -303,7 +311,7 @@ def sweep_result_to_dict(result: SweepResult) -> dict:
         ],
         "reports": [
             {
-                "params": e.params.to_dict(),
+                "params": e.params.to_dict() if isinstance(e.params, ParamSet) else e.params,
                 "report": report_to_dict(e.report) if e.report else None,
                 "error": e.error,
             }

@@ -51,27 +51,6 @@ class Poly:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, field: Field) -> "Poly":
-        return cls(field)
-
-    @classmethod
-    def one(cls, field: Field) -> "Poly":
-        return cls(field, (1,))
-
-    @classmethod
-    def constant(cls, field: Field, c: int) -> "Poly":
-        return cls(field, (c,))
-
-    @classmethod
-    def x(cls, field: Field) -> "Poly":
-        return cls(field, (0, 1))
-
-    @classmethod
-    def linear(cls, field: Field, alpha: int) -> "Poly":
-        """The monic linear polynomial x - alpha."""
-        return cls(field, (field.neg(field.check(alpha)), 1))
-
-    @classmethod
     def from_string(cls, field: Field, text: str) -> "Poly":
         if type(text) is not str:
             raise ValueError(f"bad polynomial serialization: {text!r}")
@@ -179,11 +158,6 @@ class Poly:
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self.scale(self.field.inv(self.lead))
 
     def __call__(self, a: int) -> int:
         """Horner evaluation at an element encoding."""

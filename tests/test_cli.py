@@ -409,17 +409,53 @@ def test_sweep_reports_entries_that_are_no_parameter_document(capsys, tmp_path):
     assert code == 1
 
 
+def test_sweep_reports_rejected_entries_in_grid_order(capsys, tmp_path):
+    """A rejected entry takes its grid position in the JSON reports, and its stderr line
+    names that position, as for an entry whose trials fail."""
+    good = {"q": 2, "m": 4, "t": 2, "b": 0, "u": 1}
+    grid = _write_grid(tmp_path, [good, {"q": 2, "m": 3, "t": 2, "b": 1}, 7, good], trials=2)
+    code, out, err = run(capsys, ["sweep", "--grid", grid, "--format", "json"])
+    reports = json.loads(out)["reports"]
+    assert [r["params"] for r in reports] == [good, {"q": 2, "m": 3, "t": 2, "b": 1}, 7, good]
+    assert [r["error"] is not None for r in reports] == [False, True, True, False]
+    assert err.splitlines() == [
+        "tgoppa: grid entry 1 rejected: params document has no 'u'",
+        "tgoppa: grid entry 2 rejected: a params document is a JSON object, got 7",
+    ]
+    assert code == 1
+
+
+def test_sweep_of_rejected_entries_only_writes_its_report(capsys, tmp_path):
+    """A grid whose every entry is rejected writes its report and exits 1, as a grid whose
+    every entry fails its trials does: the JSON lists the entry, the CSV is the header."""
+    grid = _write_grid(tmp_path, [7], trials=2)
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, ["sweep", "--grid", grid, "--format", "json",
+                                  "--out", str(out_path)])
+    assert (code, out) == (1, "")
+    assert json.loads(out_path.read_text()) == {
+        "counterexamples": [], "f_table": [], "records": [],
+        "reports": [{"params": 7, "report": None,
+                     "error": "a params document is a JSON object, got 7"}]}
+    assert err == "tgoppa: grid entry 0 rejected: a params document is a JSON object, got 7\n"
+    code, out, _ = run(capsys, ["sweep", "--grid", grid])
+    assert (code, out) == (1, "q,m,t,b,u,a,n,g,eta,k,seed\n")
+
+
 def test_sweep_rejects_non_integer_trials_and_seed(capsys, tmp_path, monkeypatch):
+    """A bad trial count or seed exits 2 before any draw, also when the first grid entry
+    is rejected."""
     def random_root_free_poly(field, t, rng):
         raise AssertionError("sampling started")
 
     monkeypatch.setattr(experiment, "random_root_free_poly", random_root_free_poly)
-    entries = [{"q": 2, "m": 3, "t": 2, "b": 1, "u": 2}]
-    for trials, seed in ((2.9, 1), (2, 1.7), (True, 1)):
-        grid = _write_grid(tmp_path, entries, trials=trials, seed=seed)
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--grid", grid])
-        assert exc.value.code == 2, (trials, seed)
+    good = {"q": 2, "m": 3, "t": 2, "b": 1, "u": 2}
+    for entries in ([good], [7, good]):
+        for trials, seed in ((2.9, 1), (2, 1.7), (True, 1), (0, 1)):
+            grid = _write_grid(tmp_path, entries, trials=trials, seed=seed)
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--grid", grid])
+            assert exc.value.code == 2, (entries, trials, seed)
 
 
 def test_sweep_grid_file_usage_errors(capsys, tmp_path, monkeypatch):
@@ -428,12 +464,17 @@ def test_sweep_grid_file_usage_errors(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiment, "random_root_free_poly", random_root_free_poly)
     path = tmp_path / "grid.json"
-    for doc in ([1], "x", 3):
+    for doc, message in (([1], "a grid file document is a JSON object, got [1]"),
+                         ("x", "a grid file document is a JSON object, got 'x'"),
+                         (3, "a grid file document is a JSON object, got 3"),
+                         ({"trials": 2}, "grid file document has no 'grid'"),
+                         ({"grid": 3}, "grid file 'grid' must be an array, got 3"),
+                         ({"grid": []}, 'grid file must contain a nonempty "grid" array')):
         path.write_text(json.dumps(doc))
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--grid", str(path)])
         assert exc.value.code == 2, doc
-        assert 'nonempty "grid" array' in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(f"error: {message}\n"), doc
     # trials and seed are JSON ints; the library rejects text as it does 2.9
     grid = _write_grid(tmp_path, [{"q": 2, "m": 3, "t": 2, "b": 1, "u": 2}], trials="2")
     with pytest.raises(SystemExit) as exc:

@@ -440,6 +440,25 @@ def test_sweep_records_per_param_errors(monkeypatch):
         sweep([], 4, 11)
 
 
+def test_sweep_records_rejected_documents_in_grid_order():
+    """A document the document or (b, u) rule rejects is an error entry at its grid
+    position, its params as written; a bad trial count or seed is raised before any entry."""
+    good = {"q": 2, "m": 3, "t": 2, "b": 1, "u": 2}
+    grid = [good, {"q": 2, "m": 3, "t": 2, "b": 1}, 7, {**good, "b": 0}, ParamSet(2, 3, 2, 1, 2)]
+    result = sweep(grid, 2, 11)
+    assert [e.params for e in result.entries] == [ParamSet(**good), *grid[1:4], grid[4]]
+    assert [e.error for e in result.entries[1:3]] == [
+        "params document has no 'u'", "a params document is a JSON object, got 7"]
+    assert "identity (order 1) iff b = 0" in result.entries[3].error
+    assert result.entries[0].error is None and result.entries[4].error is None
+    assert len(result.records) == 4
+    reports = sweep_result_to_dict(result)["reports"]
+    assert [r["params"] for r in reports] == [good, *grid[1:4], good]
+    for trials, seed in ((0, 11), (2, 1.5)):
+        with pytest.raises(ValueError):
+            sweep([7, good], trials, seed)
+
+
 def test_csv_header_and_single_row():
     params = ParamSet(2, 2, 2, 1, 2)
     rec = run_trial(params, trial_seed(1, 0))
@@ -592,10 +611,12 @@ def test_seed0_trials_csv_digests(sweeps, digest):
 
 def test_standard_grid_sweep_json_digest():
     """The sweep JSON (reports, f table, records) of a small standard-grid sweep is
-    byte-identical to the recorded one, as the CSV digests pin the trials CSV."""
-    text = json.dumps(sweep_result_to_dict(sweep(standard_grid(), 3, 101)), separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "2b243f3ef662d30bb699773cb997ee1681c85fe8aabd32354153f4ca3925c383")
+    byte-identical to the recorded one, as the CSV digests pin the trials CSV, whether the
+    grid is given as ParamSets or as the parameter documents a grid file holds."""
+    for grid in (standard_grid(), [p.to_dict() for p in standard_grid()]):
+        text = json.dumps(sweep_result_to_dict(sweep(grid, 3, 101)), separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2b243f3ef662d30bb699773cb997ee1681c85fe8aabd32354153f4ca3925c383")
 
 
 def test_seed0_dim_full_m14_csv_digest():

@@ -50,7 +50,7 @@ def test_spec_validation():
     with pytest.raises(InvalidSpecError):
         CodeSpec(F4, (), G4, 1)  # empty support
     with pytest.raises(InvalidSpecError):
-        CodeSpec(F4, (0, 1), Poly.constant(F4, 3), 1)  # degree 0
+        CodeSpec(F4, (0, 1), Poly(F4, (3,)), 1)  # degree 0
     with pytest.raises(InvalidSpecError):
         CodeSpec(F4, (0, 2), Poly(F4, (2, 1)), 1)  # g(2) = 0
     with pytest.raises(InvalidSpecError):
@@ -66,11 +66,11 @@ def test_spec_validation():
 
 def test_twist_residue_examples():
     # alpha = 0 annihilates the twist for any eta
-    assert twist_residue(WORKED, 0) == modinv(Poly.x(F4), G4)
+    assert twist_residue(WORKED, 0) == modinv(Poly(F4, (0, 1)), G4)
     # eta = 0 reduces to the classical residue at every column
     for i in range(4):
         assert twist_residue(WORKED0, i) == modinv(
-            Poly.linear(F4, WORKED0.support[i]), G4
+            Poly(F4, (F4.neg(WORKED0.support[i]), 1)), G4
         )
     # alpha = 1, eta = 1: classical 3x plus twist constant 3
     assert twist_residue(WORKED, 1) == Poly(F4, (3, 3))
@@ -133,7 +133,7 @@ def test_rows_and_residues_match_twist_residue(spec):
     F, g, t = spec.field, spec.g, spec.t
     for i, alpha in enumerate(spec.support):
         twist = F.mul(spec.eta, F.div(F.pow(alpha, t), g(alpha)))
-        closed = inverse_linear_residue(alpha, g) - Poly.constant(F, twist)
+        closed = inverse_linear_residue(alpha, g) - Poly(F, (twist,))
         assert tuple(row[i] for row in rows) == closed.padded(t)
 
 
@@ -147,8 +147,8 @@ def test_twist_residue_is_classical_residue_minus_twist_constant(spec):
         if alpha == 0:
             continue
         monomial = Poly(F, (0,) * t + (spec.eta,))  # eta * x^t
-        twist = Poly.constant(F, F.div(monomial(alpha), g(alpha)))
-        assert twist_residue(spec, i) == modinv(Poly.linear(F, alpha), g) - twist
+        twist = Poly(F, (F.div(monomial(alpha), g(alpha)),))
+        assert twist_residue(spec, i) == modinv(Poly(F, (F.neg(alpha), 1)), g) - twist
 
 
 def test_a_code_evaluates_g_once_per_support_point(monkeypatch):
@@ -646,17 +646,17 @@ def test_membership_via_cleared_denominators():
         eta = rng.randrange(field.order)
         spec = CodeSpec(field, support, g, eta)
 
-        D = Poly.one(field)
+        D = Poly(field, (1,))
         for a in support:
-            D = D * Poly.linear(field, a)
+            D = D * Poly(field, (field.neg(a), 1))
 
         def member(word):
-            total = Poly.zero(field)
+            total = Poly(field)
             twist_sum = 0
             for c, a in zip(word, support):
                 if c == 0:
                     continue
-                Di, rem = divmod(D, Poly.linear(field, a))
+                Di, rem = divmod(D, Poly(field, (field.neg(a), 1)))
                 assert rem.is_zero
                 tau = field.mul(eta, field.mul(field.pow(a, spec.t), field.inv(g(a))))
                 if c != 1:

@@ -25,10 +25,10 @@ G = Poly(F4, (2, 1, 1))  # x^2 + x + 2 over GF(4), root-free
 
 def test_normalization_and_degree():
     assert Poly(F4, (1, 2, 0, 0)).coeffs == (1, 2)
-    z = Poly.zero(F4)
+    z = Poly(F4)
     assert z.coeffs == () and z.degree == -1 and z.is_zero
-    assert Poly.one(F4).degree == 0
-    assert Poly.x(F4).degree == 1
+    assert Poly(F4, (1,)).degree == 0
+    assert Poly(F4, (0, 1)).degree == 1
     assert G.degree == 2 and G.lead == 1
     with pytest.raises(ValueError):
         Poly(F4, (4,))
@@ -38,7 +38,7 @@ def test_string_round_trip():
     assert G.to_string() == "2,1,1"
     assert Poly.from_string(F4, "2,1,1") == G
     assert Poly.from_string(F4, "0").is_zero
-    assert Poly.zero(F4).to_string() == "0"
+    assert Poly(F4).to_string() == "0"
     assert Poly.from_string(F4, "3").degree == 0
     with pytest.raises(ValueError):
         Poly.from_string(F4, "1,x")
@@ -48,7 +48,7 @@ def test_string_round_trip():
 
 def test_add_and_mul_examples():
     f = Poly(F4, (1, 3, 2))
-    assert f + Poly.zero(F4) == f
+    assert f + Poly(F4) == f
     xp1 = Poly(F2, (1, 1))
     assert xp1 * xp1 == Poly(F2, (1, 0, 1))  # (x+1)^2 = x^2 + 1 in char 2
     assert -f == f  # characteristic 2
@@ -56,51 +56,51 @@ def test_add_and_mul_examples():
 
 def test_field_mismatch():
     with pytest.raises(FieldMismatchError):
-        Poly.x(F4) + Poly.x(F8)
+        Poly(F4, (0, 1)) + Poly(F8, (0, 1))
     with pytest.raises(FieldMismatchError):
-        Poly.x(F4) * Poly.x(F9)
+        Poly(F4, (0, 1)) * Poly(F9, (0, 1))
 
 
 def test_divmod_example():
     q, r = divmod(Poly(F4, (0, 0, 1)), G)  # x^2 by x^2+x+2
-    assert q == Poly.one(F4)
+    assert q == Poly(F4, (1,))
     assert r == Poly(F4, (2, 1))  # x + 2
     with pytest.raises(ZeroDivisionError):
-        divmod(G, Poly.zero(F4))
+        divmod(G, Poly(F4))
 
 
 def test_eval_examples():
-    assert Poly.constant(F4, 3)(2) == 3
+    assert Poly(F4, (3,))(2) == 3
     assert G(0) == 2
     assert G(1) == 2
 
 
 def test_xgcd_with_zero():
     f = Poly(F4, (1, 0, 2))  # lead 2
-    d, u = xgcd(f, Poly.zero(F4))
-    assert d == f.monic()
-    assert u == Poly.constant(F4, F4.inv(2))
+    d, u = xgcd(f, Poly(F4))
+    assert d == f.scale(F4.inv(f.lead))
+    assert u == Poly(F4, (F4.inv(2),))
     assert u * f == d  # h = 0: the congruence is an equality
 
 
 def test_xgcd_frozen_gf2():
-    f, h = Poly(F2, (0, 1, 1)), Poly.x(F2)  # x^2+x and x
+    f, h = Poly(F2, (0, 1, 1)), Poly(F2, (0, 1))  # x^2+x and x
     d, u = xgcd(f, h)
-    assert d == Poly.x(F2)
+    assert d == Poly(F2, (0, 1))
     assert u.is_zero
     assert ((u * f - d) % h).is_zero
 
 
 def test_xgcd_coprime_gf4():
-    f, h = Poly.x(F4), G
+    f, h = Poly(F4, (0, 1)), G
     d, u = xgcd(f, h)
-    assert d == Poly.one(F4)
+    assert d == Poly(F4, (1,))
     assert ((u * f - d) % h).is_zero
 
 
 def test_xgcd_both_zero():
     with pytest.raises(ValueError):
-        xgcd(Poly.zero(F4), Poly.zero(F4))
+        xgcd(Poly(F4), Poly(F4))
 
 
 def _random_poly(rng, field, max_deg):
@@ -153,7 +153,7 @@ def _poly(data, field, max_deg, min_deg=-1):
     """A hypothesis-drawn polynomial of degree in [min_deg, max_deg] (-1 is zero)."""
     deg = data.draw(st.integers(min_deg, max_deg))
     if deg < 0:
-        return Poly.zero(field)
+        return Poly(field)
     coeffs = data.draw(st.lists(st.integers(0, field.order - 1), min_size=deg, max_size=deg))
     return Poly(field, coeffs + [data.draw(st.integers(1, field.order - 1))])
 
@@ -168,7 +168,7 @@ def test_modinv_is_unreduced_inverse_or_raises(data):
     if d.degree == 0:
         u = modinv(f, g)
         assert u.degree < g.degree
-        assert u * f % g == Poly.one(field)
+        assert u * f % g == Poly(field, (1,))
     else:
         with pytest.raises(NotInvertibleError):
             modinv(f, g)
@@ -191,10 +191,6 @@ def test_public_constructors_check_coefficients():
     for bad in (4, -1, 2.0, True):
         with pytest.raises(ValueError):
             Poly(F4, (1, bad))
-        with pytest.raises(ValueError):
-            Poly.constant(F4, bad)
-        with pytest.raises(ValueError):
-            Poly.linear(F4, bad)
     with pytest.raises(ValueError):
         Poly.from_string(F4, "1,4")
 
@@ -207,7 +203,7 @@ def test_ring_op_results_are_normalized_field_polys(data):
     f = _poly(data, field, 6)
     h = _poly(data, field, 4)
     c = data.draw(st.integers(0, field.order - 1))
-    results = [f + h, f - h, -f, f * h, f.scale(c), f.monic()]
+    results = [f + h, f - h, -f, f * h, f.scale(c)]
     if not h.is_zero:
         results.extend(divmod(f, h))
     for r in results:
@@ -216,20 +212,20 @@ def test_ring_op_results_are_normalized_field_polys(data):
 
 
 def test_modinv_examples():
-    assert modinv(Poly.one(F4), G) == Poly.one(F4)
-    assert modinv(Poly.x(F4), G) == Poly(F4, (3, 3))
+    assert modinv(Poly(F4, (1,)), G) == Poly(F4, (1,))
+    assert modinv(Poly(F4, (0, 1)), G) == Poly(F4, (3, 3))
     assert modinv(Poly(F4, (1, 1)), G) == Poly(F4, (0, 3))
 
 
 def test_modinv_errors():
     with pytest.raises(ZeroDivisionError):
-        modinv(Poly.x(F4), Poly.zero(F4))
+        modinv(Poly(F4, (0, 1)), Poly(F4))
     with pytest.raises(ValueError):
-        modinv(Poly.x(F4), Poly.constant(F4, 2))
+        modinv(Poly(F4, (0, 1)), Poly(F4, (2,)))
     with pytest.raises(NotInvertibleError):
         modinv(G, G)
     with pytest.raises(NotInvertibleError):
-        modinv(Poly.zero(F4), G)
+        modinv(Poly(F4), G)
 
 
 def test_modinv_degree_is_exactly_t_minus_1():
@@ -242,9 +238,9 @@ def test_modinv_degree_is_exactly_t_minus_1():
         alpha = rng.randrange(field.order)
         if g(alpha) == 0:
             continue
-        r = modinv(Poly.linear(field, alpha), g)
+        r = modinv(Poly(field, (field.neg(alpha), 1)), g)
         assert r.degree == t - 1
-        assert (Poly.linear(field, alpha) * r % g) == Poly.one(field)
+        assert (Poly(field, (field.neg(alpha), 1)) * r % g) == Poly(field, (1,))
 
 
 def test_residue_oracle_examples():
@@ -254,7 +250,7 @@ def test_residue_oracle_examples():
     g1 = Poly(F4, (2, 1))  # x + 2
     r = inverse_linear_residue(0, g1)
     assert r.degree == 0
-    assert (Poly.x(F4) * r % g1) == Poly.one(F4)
+    assert (Poly(F4, (0, 1)) * r % g1) == Poly(F4, (1,))
     with pytest.raises(ZeroDivisionError):
         inverse_linear_residue(2, g1)  # 2 is the root of x + 2
 
@@ -270,17 +266,17 @@ def test_residue_oracle_matches_modinv_exhaustively():
                 if g(alpha) == 0:
                     continue
                 assert inverse_linear_residue(alpha, g) == modinv(
-                    Poly.linear(field, alpha), g
+                    Poly(field, (field.neg(alpha), 1)), g
                 )
 
 
 def test_is_root_free():
-    assert is_root_free(Poly.constant(F4, 3))
+    assert is_root_free(Poly(F4, (3,)))
     assert is_root_free(G)
     assert not is_root_free(Poly(F4, (2, 1)))  # linear, root 2
     assert not is_root_free(Poly(F16, (0, 0, 1)))  # x^2 has root 0
     with pytest.raises(ValueError):
-        is_root_free(Poly.zero(F4))
+        is_root_free(Poly(F4))
 
 
 def test_poly_immutable_and_hashable():
